@@ -291,6 +291,8 @@ def save_checkpoint(model: VisTabNet, path: str | Path) -> None:
         "use_pos": "1" if model.use_pos else "0",
         "pool": model.pool,
     }
+    if model.head.config.hidden_dim is not None:
+        meta["head.hidden_dim"] = str(model.head.config.hidden_dim)
     if model.encoder is not None:
         tensors.update(model.encoder.named_tensors())
         cfg = model.encoder.config
@@ -332,6 +334,7 @@ def load_checkpoint(path: str | Path) -> VisTabNet:
         in_dim=int(meta["head.in_dim"]),
         n_classes=int(meta["head.n_classes"]),
         depth=int(meta["head.depth"]),
+        hidden_dim=int(meta["head.hidden_dim"]) if "head.hidden_dim" in meta else None,
     )
     layers = []
     for j in range(head_cfg.depth):

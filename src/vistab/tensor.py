@@ -6,8 +6,13 @@ records a backward closure; :func:`backward` replays the tape in exact
 reverse order and accumulates gradients into every tracked leaf.
 
 Each tape is single-use: recording happens on one thread and the tape is
-consumed by the first `backward` call. Tensors not attached to a tape are
-immutable from this module's point of view and safe to share.
+consumed by the first `backward` call, which releases every record as it
+replays it, so a step's activations are freed without waiting for the
+cycle collector. Tensors not attached to a tape are immutable from this
+module's point of view and safe to share.
+
+Besides the generic ops, :func:`custom` lets a caller record one op whose
+forward and vector-Jacobian product it computes itself in plain numpy.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ class Tensor:
     input participates and a tape is active.
     """
 
-    __slots__ = ("data", "tracked", "grad", "_tape")
+    __slots__ = ("data", "tracked", "grad", "_tape", "__weakref__")
 
     def __init__(self, data, tracked: bool = False):
         # asarray with order="C" keeps 0-d scalars 0-d (ascontiguousarray would not)
@@ -92,6 +97,7 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._recorded = 0  # ops ever recorded; `backward` empties _records
         self._consumed = False
         self._previous: Tape | None = None
 
@@ -108,7 +114,8 @@ class Tape:
         return False
 
     def __len__(self):
-        return len(self._records)
+        """Number of ops recorded, also after `backward` has released them."""
+        return self._recorded
 
 
 def _as_tensor(x) -> Tensor:
@@ -122,6 +129,7 @@ def _record(out: Tensor, inputs: Sequence[Tensor], bwd: Callable[[np.ndarray], N
     out.tracked = True
     out._tape = tape
     tape._records.append((out, bwd))
+    tape._recorded += 1
     return out
 
 
@@ -378,6 +386,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     return _record(out, (x, gain, bias), bwd)
 
 
+def custom(out: np.ndarray, inputs: Sequence[Tensor],
+           vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
+    """Wrap a hand-computed forward result as one recorded op.
+
+    ``vjp(g)`` receives d(loss)/d(out) and returns one gradient per input,
+    in the order of ``inputs``, or ``None`` for an input that is not
+    tracked; gradients of untracked inputs are dropped either way. It runs
+    at most once, during :func:`backward`, which accumulates (and so
+    copies) what it returns.
+    """
+    inputs = tuple(inputs)
+    result = Tensor(out)
+
+    def bwd(g):
+        for t, gt in zip(inputs, vjp(g)):
+            if t.tracked and gt is not None:
+                _accumulate(t, gt)
+
+    return _record(result, inputs, bwd)
+
+
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean softmax cross-entropy over a batch of logit rows."""
     logits = _as_tensor(logits)
@@ -418,10 +447,13 @@ def backward(loss: Tensor) -> None:
         raise TapeError("tape already consumed; re-record the forward pass")
     tape._consumed = True
     loss.grad = np.ones((), dtype=np.float64)
-    for out, bwd in reversed(tape._records):
-        if out.grad is None:
-            continue
-        bwd(out.grad)
+    records = tape._records
+    while records:
+        # popping drops the record's closure, and with it the last reference
+        # to the activations it saved, as soon as it has run
+        out, bwd = records.pop()
+        if out.grad is not None:
+            bwd(out.grad)
 
 
 def zero_grads(params: Sequence[Tensor]) -> None:

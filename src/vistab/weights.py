@@ -13,6 +13,7 @@ save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -54,27 +55,41 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray],
 def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a container; returns (tensors, metadata).
 
-    Raises :class:`WeightFormatError` with a byte offset on malformed
-    input and never returns a partially decoded result.
+    The file is read once into one writable buffer and every tensor is a
+    view into it, so loading copies nothing and the arrays may be updated
+    in place. Raises :class:`WeightFormatError` with a byte offset on
+    malformed input and never returns a partially decoded result.
     """
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER_LEN_BYTES:
-        raise WeightFormatError("file too short for header length field", offset=len(blob))
-    (header_len,) = struct.unpack("<Q", blob[:_HEADER_LEN_BYTES])
-    header_end = _HEADER_LEN_BYTES + header_len
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER_LEN_BYTES)
+        if len(head) < _HEADER_LEN_BYTES:
+            raise WeightFormatError("file too short for header length field", offset=len(head))
+        (header_len,) = struct.unpack("<Q", head)
+        header_end = _HEADER_LEN_BYTES + header_len
+        # shift the file in the buffer so that the payload starts 8-byte aligned
+        pad = (-header_end) % 8
+        buf = np.empty(pad + size, dtype=np.uint8)
+        buf[pad:pad + _HEADER_LEN_BYTES] = np.frombuffer(head, dtype=np.uint8)
+        got = fh.readinto(memoryview(buf)[pad + _HEADER_LEN_BYTES:])
+    blob = buf[pad:pad + _HEADER_LEN_BYTES + got]
     if len(blob) < header_end:
         raise WeightFormatError("truncated header", offset=len(blob))
     try:
-        header = json.loads(blob[_HEADER_LEN_BYTES:header_end].decode("utf-8"))
+        header = json.loads(blob[_HEADER_LEN_BYTES:header_end].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         pos = getattr(e, "pos", getattr(e, "start", 0))
         raise WeightFormatError(f"header is not valid JSON: {e}", offset=_HEADER_LEN_BYTES + pos)
     if not isinstance(header, dict):
         raise WeightFormatError("header must be a JSON object", offset=_HEADER_LEN_BYTES)
+    raw_meta = header.pop("__metadata__", {})
+    if not isinstance(raw_meta, dict):
+        raise WeightFormatError("__metadata__ must be a JSON object", offset=_HEADER_LEN_BYTES)
 
-    metadata = {str(k): str(v) for k, v in header.pop("__metadata__", {}).items()}
+    metadata = {str(k): str(v) for k, v in raw_meta.items()}
     data = blob[header_end:]
     tensors: dict[str, np.ndarray] = {}
+    spans = []
     for name, info in header.items():
         try:
             dtype = info["dtype"]
@@ -85,14 +100,21 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str
         if dtype != _DTYPE:
             raise WeightFormatError(f"tensor {name!r} has unsupported dtype {dtype!r}")
         nbytes = int(np.prod(shape, dtype=np.int64)) * 8
-        if end - begin != nbytes:
+        if begin < 0 or end - begin != nbytes:
             raise WeightFormatError(
-                f"tensor {name!r} declares {end - begin} bytes for shape {shape}")
+                f"tensor {name!r} declares bytes [{begin}, {end}) for shape {shape}")
         if end > len(data):
             raise WeightFormatError(
                 f"tensor {name!r} data extends past end of file", offset=header_end + end)
-        arr = np.frombuffer(data[begin:end], dtype="<f8").reshape(shape)
+        arr = data[begin:end].view("<f8").reshape(shape)
         tensors[name] = np.ascontiguousarray(arr, dtype=np.float64)
+        spans.append((begin, end, name))
+    # views of overlapping ranges would alias: writing one tensor would change another
+    spans.sort()
+    for (_, prev_end, prev), (begin, _, name) in zip(spans, spans[1:]):
+        if begin < prev_end:
+            raise WeightFormatError(f"tensor {name!r} overlaps tensor {prev!r}",
+                                    offset=header_end + begin)
     return tensors, metadata
 
 

@@ -124,6 +124,109 @@ class TestEncoderForward:
         assert all(p.grad is None for p in bundle.parameters())
 
 
+def generic_block(x, L, cfg):
+    """One block composed from generic tape ops: the reference for the fused op."""
+    lead, s = x.shape[:-2], x.shape[-2]
+
+    def split(t):
+        return T.swap_axes(T.reshape(t, lead + (s, cfg.heads, cfg.head_dim)), -3, -2)
+
+    h = T.layer_norm(x, L.ln1_gain, L.ln1_bias)
+    q, k, v = (split(T.add(T.matmul(h, w), b))
+               for w, b in ((L.wq, L.bq), (L.wk, L.bk), (L.wv, L.bv)))
+    scores = T.mul(T.matmul(q, T.swap_axes(k, -2, -1)), 1.0 / math.sqrt(cfg.head_dim))
+    ctx = T.swap_axes(T.matmul(T.softmax(scores), v), -3, -2)
+    x = T.add(x, T.add(T.matmul(T.reshape(ctx, lead + (s, cfg.dim)), L.wo), L.bo))
+    h = T.gelu(T.add(T.matmul(T.layer_norm(x, L.ln2_gain, L.ln2_bias), L.w1), L.b1))
+    return T.add(x, T.add(T.matmul(h, L.w2), L.b2))
+
+
+def generic_forward(t0, bundle, layer_range):
+    x = t0
+    for i in range(layer_range.start, layer_range.end):
+        x = generic_block(x, bundle.layers[i], bundle.config)
+    if layer_range.end == bundle.config.depth:
+        x = T.layer_norm(x, bundle.final_gain, bundle.final_bias)
+    return x
+
+
+def perturbed_bundle(cfg, seed):
+    """Random weights with non-trivial LayerNorm gains and non-zero biases."""
+    bundle = enc.random_bundle(cfg, seed=seed, scale=0.3)
+    rng = np.random.default_rng(seed + 100)
+    for layer in bundle.layers:
+        for t in layer.tensors():
+            if t.data.ndim == 1:
+                t.data += rng.normal(0.0, 0.3, t.shape)
+    bundle.final_gain.data += rng.normal(0.0, 0.3, cfg.dim)
+    bundle.final_bias.data += rng.normal(0.0, 0.3, cfg.dim)
+    return bundle
+
+
+def taped_grads(forward, t0, mask, bundle):
+    """Output, input gradient and every bundle gradient of sum(forward(x) * mask)."""
+    x = Tensor(t0, tracked=True)
+    with Tape() as tape:
+        out = forward(x)
+        loss = T.tsum(T.mul(out, Tensor(mask)))
+    backward(loss)
+    bundle_grads = [p.grad for p in bundle.parameters()]
+    T.zero_grads(bundle.parameters())
+    return out.data, x.grad, bundle_grads, len(tape)
+
+
+class TestFusedBlock:
+    CFG = EncoderConfig(depth=3, dim=12, heads=3, mlp_ratio=2, max_seq=6)
+
+    @pytest.mark.parametrize("shape", [(3, 5, 12), (5, 12)], ids=["batched", "single"])
+    @pytest.mark.parametrize("layer_range", [LayerRange(0, 2), LayerRange(1, 3)],
+                             ids=["inner", "to_depth"])
+    def test_matches_generic_composition(self, shape, layer_range):
+        bundle = perturbed_bundle(self.CFG, seed=40)
+        rng = np.random.default_rng(41)
+        t0, mask = rng.normal(size=shape), rng.normal(size=shape)
+        bundle.set_tracked(True)
+        got = taped_grads(lambda x: enc.encoder_forward(x, bundle, layer_range),
+                          t0, mask, bundle)
+        want = taped_grads(lambda x: generic_forward(x, bundle, layer_range),
+                           t0, mask, bundle)
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-10)
+        blocks = layer_range.end - layer_range.start
+        final = layer_range.end == self.CFG.depth
+        assert sum(g is not None for g in got[2]) == 16 * blocks + 2 * final
+        for g, w in zip(got[2], want[2]):
+            assert (g is None) == (w is None)
+            if w is not None:
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
+        # one tape record per block, the final norm when it fires, then mul and tsum
+        assert got[3] == blocks + final + 2
+
+    def test_frozen_block_leaves_weights_untouched(self):
+        bundle = perturbed_bundle(self.CFG, seed=42)
+        bundle.set_tracked(False)
+        before = bundle.checksum()
+        rng = np.random.default_rng(43)
+        t0, mask = rng.normal(size=(2, 4, 12)), rng.normal(size=(2, 4, 12))
+        got = taped_grads(lambda x: enc.encoder_forward(x, bundle, LayerRange(0, 3)),
+                          t0, mask, bundle)
+        want = taped_grads(lambda x: generic_forward(x, bundle, LayerRange(0, 3)),
+                           t0, mask, bundle)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-10)
+        assert all(g is None for g in got[2])
+        assert bundle.checksum() == before
+
+    def test_untracked_input_gets_no_grad(self):
+        bundle = perturbed_bundle(self.CFG, seed=44)
+        bundle.set_tracked(True)
+        x = Tensor(np.random.default_rng(45).normal(size=(4, 12)))
+        with Tape():
+            loss = T.tsum(enc.encoder_forward(x, bundle, LayerRange(0, 1)))
+        backward(loss)
+        assert x.grad is None
+        assert all(p.grad is not None for p in bundle.layers[0].tensors())
+
+
 class TestPatchEmbed:
     def test_patch_counting(self):
         cfg = EncoderConfig(depth=1, dim=4, heads=1, max_seq=5, patch=2,
@@ -202,6 +305,15 @@ class TestSaveLoad:
         assert loaded.load_checksum == bundle.checksum()
         for a, b in zip(bundle.parameters(), loaded.parameters()):
             assert (a.data == b.data).all()
+
+    def test_checksum_matches_hashlib_reference(self):
+        import hashlib
+        bundle = enc.random_bundle(TOY, seed=21, with_patch=True)
+        h = hashlib.sha256()
+        for name, arr in sorted(bundle.named_tensors().items()):
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert bundle.checksum() == h.hexdigest()
 
     def test_optional_patch_proj_omitted(self, tmp_path):
         bundle = enc.random_bundle(TOY, seed=16, with_patch=False)

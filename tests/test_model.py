@@ -299,6 +299,19 @@ class TestCheckpoint:
         assert "head.layer1.bias" in tensors
         assert "layers.0.attn.q.weight" in tensors
 
+    def test_head_hidden_dim_round_trips(self, tmp_path):
+        model = M.build_model(
+            AdapterConfig(input_dim=4, n_views=3, depth=1, out_dim=CFG.dim),
+            HeadConfig(in_dim=CFG.dim, n_classes=3, depth=2, hidden_dim=4),
+            bundle=enc.random_bundle(CFG, seed=34, scale=0.3), seed=34)
+        path = tmp_path / "hidden.weights"
+        M.save_checkpoint(model, path)
+        loaded = M.load_checkpoint(path)
+        assert loaded.head.config == model.head.config
+        x = np.random.default_rng(35).normal(size=(2, 4))
+        np.testing.assert_array_equal(
+            M.model_forward(x, model).data, M.model_forward(x, loaded).data)
+
     def test_no_encoder_checkpoint(self, tmp_path):
         model = M.build_model(
             AdapterConfig(input_dim=4, n_views=2, depth=1, out_dim=8),

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -208,6 +210,25 @@ class TestBackward:
         with pytest.raises(TapeError):
             backward(loss)
 
+    def test_step_is_freed_without_the_cycle_collector(self):
+        x = Tensor(np.ones((2, 3)), tracked=True)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                hidden = T.gelu(T.mul(x, 2.0))
+                loss = T.tsum(hidden)
+            hidden_ref = weakref.ref(hidden)
+            del hidden
+            backward(loss)
+            assert len(tape) == 3  # still the number of ops recorded
+            del loss, tape
+            assert hidden_ref() is None
+        finally:
+            gc.enable()
+        gelu_slope_at_2 = 0.5 * (1 + math.erf(math.sqrt(2))) + 2 * math.exp(-2) / math.sqrt(
+            2 * math.pi)
+        np.testing.assert_allclose(x.grad, np.full((2, 3), 2.0 * gelu_slope_at_2))
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], tracked=True)
         with Tape():
@@ -254,6 +275,9 @@ LAYER_CASES = {
     "narrow": lambda x, aux: T.tsum(T.narrow(x, 1, 1, 2)),
     "take": lambda x, aux: T.tsum(T.take(x, 1, axis=0)),
     "swap": lambda x, aux: T.tsum(T.mul(T.swap_axes(x, 0, 1), aux["mt"])),
+    "custom": lambda x, aux: T.tsum(T.mul(
+        T.custom(np.sin(x.data) * aux["mx"].data, (x, aux["mx"]),
+                 lambda g: (g * np.cos(x.data) * aux["mx"].data, None)), aux["mx"])),
 }
 
 

@@ -72,3 +72,32 @@ def test_file_size_is_header_plus_payload(tmp_path):
 def test_require_missing_name(tmp_path):
     with pytest.raises(MissingTensorError, match="pos_embed"):
         wio.require({"other": np.zeros(1)}, "pos_embed")
+
+
+def test_loaded_arrays_are_writable_aligned_views(tmp_path):
+    path = tmp_path / "w"
+    wio.save_tensors(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(3)},
+                     metadata={"note": "x"})  # header length not a multiple of 8
+    loaded, _ = wio.load_tensors(path)
+    for arr in loaded.values():
+        assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+    loaded["a"] -= 1.0  # an in-place optimizer step on reloaded weights
+    np.testing.assert_array_equal(loaded["a"], np.arange(6.0).reshape(2, 3) - 1.0)
+    np.testing.assert_array_equal(loaded["b"], np.ones(3))
+
+
+def _hand_built(path, header):
+    hdr = json.dumps(header, separators=(",", ":")).encode()
+    path.write_bytes(struct.pack("<Q", len(hdr)) + hdr + struct.pack("<4d", 1.0, 2.0, 3.0, 4.0))
+    return path
+
+
+@pytest.mark.parametrize("header", [
+    {"t": {"dtype": "F64", "shape": [1], "data_offsets": [-8, 0]}},
+    {"t": {"dtype": "F64", "shape": [2], "data_offsets": [0, 16]},
+     "u": {"dtype": "F64", "shape": [2], "data_offsets": [8, 24]}},
+    {"__metadata__": ["not", "an", "object"]},
+], ids=["negative_offset", "overlapping_tensors", "metadata_not_object"])
+def test_hostile_header_is_rejected(tmp_path, header):
+    with pytest.raises(WeightFormatError):
+        wio.load_tensors(_hand_built(tmp_path / "hostile", header))
