@@ -3,16 +3,15 @@
 Blocks are pre-norm: ``x + Attn(LN(x))`` then ``x + MLP(LN(x))``, with the
 final LayerNorm owned by the encoder and applied only when the requested
 layer range reaches the last layer. Weights load from / save to the flat
-container in :mod:`vistab.weights` under the canonical names
+container in :mod:`vistab.weights`. The ``_slot`` fields of
+:class:`EncoderLayer` (stored under ``layers.{i}.``) and :class:`EncoderBundle`
+are the one list of canonical names, e.g.
 
-    layers.{i}.ln1.weight|bias
-    layers.{i}.attn.{q|k|v|proj}.weight|bias
-    layers.{i}.ln2.weight|bias
-    layers.{i}.mlp.{fc1|fc2}.weight|bias
-    final_norm.weight|bias, pos_embed, cls_token
-    patch_proj.weight|bias            (optional; pre-training path only)
+    layers.{i}.attn.q.weight, layers.{i}.mlp.fc2.bias, final_norm.weight,
+    pos_embed, cls_token, patch_proj.weight (optional; pre-training only)
 
-so third-party checkpoints can be converted by renaming alone.
+each with its shape and init, so third-party checkpoints can be converted
+by renaming alone.
 
 Each block runs in plain numpy on 2-D ``(rows, D)`` arrays and records one
 op on the tape (:func:`vistab.tensor.custom`), with a hand-written backward
@@ -27,8 +26,10 @@ forward, too little to keep a second weight layout beside the stored one.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from scipy.special import erf
 
 from . import tensor as T
 from . import weights as wio
-from .errors import CapacityError, ContractError, DimensionError
+from .errors import CapacityError, ConfigError, ContractError, DimensionError
 from .tensor import Tensor
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -81,29 +82,40 @@ class LayerRange:
         return self
 
 
+def _slot(name: str, shape: str, init: str, **kw):
+    """A tensor field's checkpoint name, shape and init.
+
+    ``shape`` spells one letter per axis: ``d`` = dim, ``h`` = mlp_hidden,
+    ``s`` = max_seq, ``p`` = patch² · channels, ``1`` = one. ``init`` is
+    what :func:`random_bundle` draws: ``normal``, ``zeros`` or ``ones``.
+    """
+    return field(metadata={"name": name, "shape": shape, "init": init}, **kw)
+
+
 @dataclass
 class EncoderLayer:
-    ln1_gain: Tensor
-    ln1_bias: Tensor
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    ln2_gain: Tensor
-    ln2_bias: Tensor
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
+    """One block's weights, in the order of :meth:`tensors` (which ``_block``'s
+    backward returns gradients in)."""
+
+    ln1_gain: Tensor = _slot("ln1.weight", "d", "ones")
+    ln1_bias: Tensor = _slot("ln1.bias", "d", "zeros")
+    wq: Tensor = _slot("attn.q.weight", "dd", "normal")
+    bq: Tensor = _slot("attn.q.bias", "d", "zeros")
+    wk: Tensor = _slot("attn.k.weight", "dd", "normal")
+    bk: Tensor = _slot("attn.k.bias", "d", "zeros")
+    wv: Tensor = _slot("attn.v.weight", "dd", "normal")
+    bv: Tensor = _slot("attn.v.bias", "d", "zeros")
+    wo: Tensor = _slot("attn.proj.weight", "dd", "normal")
+    bo: Tensor = _slot("attn.proj.bias", "d", "zeros")
+    ln2_gain: Tensor = _slot("ln2.weight", "d", "ones")
+    ln2_bias: Tensor = _slot("ln2.bias", "d", "zeros")
+    w1: Tensor = _slot("mlp.fc1.weight", "dh", "normal")
+    b1: Tensor = _slot("mlp.fc1.bias", "h", "zeros")
+    w2: Tensor = _slot("mlp.fc2.weight", "hd", "normal")
+    b2: Tensor = _slot("mlp.fc2.bias", "d", "zeros")
 
     def tensors(self) -> list[Tensor]:
-        return [self.ln1_gain, self.ln1_bias, self.wq, self.bq, self.wk, self.bk,
-                self.wv, self.bv, self.wo, self.bo, self.ln2_gain, self.ln2_bias,
-                self.w1, self.b1, self.w2, self.b2]
+        return [getattr(self, f.name) for f in _LAYER_SLOTS]
 
 
 @dataclass
@@ -112,58 +124,32 @@ class EncoderBundle:
 
     config: EncoderConfig
     layers: list[EncoderLayer]
-    final_gain: Tensor
-    final_bias: Tensor
-    pos_embed: Tensor
-    cls_token: Tensor
-    patch_proj: Tensor | None = None
-    patch_bias: Tensor | None = None
+    final_gain: Tensor = _slot("final_norm.weight", "d", "ones")
+    final_bias: Tensor = _slot("final_norm.bias", "d", "zeros")
+    pos_embed: Tensor = _slot("pos_embed", "sd", "normal")
+    cls_token: Tensor = _slot("cls_token", "1d", "normal")
+    # optional: present on the pre-training path only
+    patch_proj: Tensor | None = _slot("patch_proj.weight", "pd", "normal", default=None)
+    patch_bias: Tensor | None = _slot("patch_proj.bias", "d", "zeros", default=None)
     _load_checksum: str | None = field(default=None, repr=False)
 
+    def _named(self) -> list[tuple[str, Tensor]]:
+        """(checkpoint name, tensor) for every tensor present, in spec order."""
+        owners = [(_LAYER_PREFIX.format(i), layer, _LAYER_SLOTS)
+                  for i, layer in enumerate(self.layers)]
+        owners.append(("", self, _BUNDLE_SLOTS))
+        return [(prefix + f.metadata["name"], t) for prefix, owner, slots in owners
+                for f in slots if (t := getattr(owner, f.name)) is not None]
+
     def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        for layer in self.layers:
-            params.extend(layer.tensors())
-        params.extend([self.final_gain, self.final_bias, self.pos_embed, self.cls_token])
-        if self.patch_proj is not None:
-            params.append(self.patch_proj)
-        if self.patch_bias is not None:
-            params.append(self.patch_bias)
-        return params
+        return [t for _, t in self._named()]
 
     def set_tracked(self, tracked: bool) -> None:
         for p in self.parameters():
             p.tracked = tracked
 
     def named_tensors(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            p = f"layers.{i}"
-            out[f"{p}.ln1.weight"] = layer.ln1_gain.data
-            out[f"{p}.ln1.bias"] = layer.ln1_bias.data
-            out[f"{p}.attn.q.weight"] = layer.wq.data
-            out[f"{p}.attn.q.bias"] = layer.bq.data
-            out[f"{p}.attn.k.weight"] = layer.wk.data
-            out[f"{p}.attn.k.bias"] = layer.bk.data
-            out[f"{p}.attn.v.weight"] = layer.wv.data
-            out[f"{p}.attn.v.bias"] = layer.bv.data
-            out[f"{p}.attn.proj.weight"] = layer.wo.data
-            out[f"{p}.attn.proj.bias"] = layer.bo.data
-            out[f"{p}.ln2.weight"] = layer.ln2_gain.data
-            out[f"{p}.ln2.bias"] = layer.ln2_bias.data
-            out[f"{p}.mlp.fc1.weight"] = layer.w1.data
-            out[f"{p}.mlp.fc1.bias"] = layer.b1.data
-            out[f"{p}.mlp.fc2.weight"] = layer.w2.data
-            out[f"{p}.mlp.fc2.bias"] = layer.b2.data
-        out["final_norm.weight"] = self.final_gain.data
-        out["final_norm.bias"] = self.final_bias.data
-        out["pos_embed"] = self.pos_embed.data
-        out["cls_token"] = self.cls_token.data
-        if self.patch_proj is not None:
-            out["patch_proj.weight"] = self.patch_proj.data
-        if self.patch_bias is not None:
-            out["patch_proj.bias"] = self.patch_bias.data
-        return out
+        return {name: t.data for name, t in self._named()}
 
     def checksum(self) -> str:
         """SHA-256 over the canonical tensor bytes; bit-change sensitive."""
@@ -178,69 +164,35 @@ class EncoderBundle:
         return self._load_checksum
 
 
-def _expected_shapes(config: EncoderConfig, with_patch: bool) -> dict[str, tuple[int, ...]]:
-    d, hidden = config.dim, config.mlp_hidden
-    shapes: dict[str, tuple[int, ...]] = {}
-    for i in range(config.depth):
-        p = f"layers.{i}"
-        shapes[f"{p}.ln1.weight"] = (d,)
-        shapes[f"{p}.ln1.bias"] = (d,)
-        for nm in ("q", "k", "v", "proj"):
-            shapes[f"{p}.attn.{nm}.weight"] = (d, d)
-            shapes[f"{p}.attn.{nm}.bias"] = (d,)
-        shapes[f"{p}.ln2.weight"] = (d,)
-        shapes[f"{p}.ln2.bias"] = (d,)
-        shapes[f"{p}.mlp.fc1.weight"] = (d, hidden)
-        shapes[f"{p}.mlp.fc1.bias"] = (hidden,)
-        shapes[f"{p}.mlp.fc2.weight"] = (hidden, d)
-        shapes[f"{p}.mlp.fc2.bias"] = (d,)
-    shapes["final_norm.weight"] = (d,)
-    shapes["final_norm.bias"] = (d,)
-    shapes["pos_embed"] = (config.max_seq, d)
-    shapes["cls_token"] = (1, d)
-    if with_patch:
-        shapes["patch_proj.weight"] = (config.patch ** 2 * config.channels, d)
-        shapes["patch_proj.bias"] = (d,)
-    return shapes
+# The weight spec: every tensor field of a layer and of the bundle, in field order.
+_LAYER_PREFIX = "layers.{}."
+_LAYER_SLOTS = tuple(f for f in fields(EncoderLayer) if "name" in f.metadata)
+_BUNDLE_SLOTS = tuple(f for f in fields(EncoderBundle) if "name" in f.metadata)
+
+
+def _build(config: EncoderConfig, with_patch: bool, make) -> EncoderBundle:
+    """A bundle whose every array is ``make(name, shape, init)``, called in spec order."""
+    dims = {"d": config.dim, "h": config.mlp_hidden, "s": config.max_seq,
+            "p": config.patch ** 2 * config.channels, "1": 1}
+
+    def tensors(prefix, slots):
+        return {f.name: Tensor(make(prefix + f.metadata["name"],
+                                    tuple(dims[axis] for axis in f.metadata["shape"]),
+                                    f.metadata["init"]))
+                for f in slots if with_patch or f.default is MISSING}
+
+    layers = [EncoderLayer(**tensors(_LAYER_PREFIX.format(i), _LAYER_SLOTS))
+              for i in range(config.depth)]
+    return EncoderBundle(config=config, layers=layers, **tensors("", _BUNDLE_SLOTS))
 
 
 def random_bundle(config: EncoderConfig, seed: int = 0, scale: float = 0.02,
                   with_patch: bool = False) -> EncoderBundle:
     """Fresh bundle with normal(0, scale) weights, unit LayerNorm gains."""
     rng = np.random.default_rng(seed)
-    d, hidden = config.dim, config.mlp_hidden
-
-    def w(*shape):
-        return Tensor(rng.normal(0.0, scale, shape))
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape))
-
-    def ones(*shape):
-        return Tensor(np.ones(shape))
-
-    layers = [
-        EncoderLayer(
-            ln1_gain=ones(d), ln1_bias=zeros(d),
-            wq=w(d, d), bq=zeros(d), wk=w(d, d), bk=zeros(d),
-            wv=w(d, d), bv=zeros(d), wo=w(d, d), bo=zeros(d),
-            ln2_gain=ones(d), ln2_bias=zeros(d),
-            w1=w(d, hidden), b1=zeros(hidden), w2=w(hidden, d), b2=zeros(d),
-        )
-        for _ in range(config.depth)
-    ]
-    bundle = EncoderBundle(
-        config=config,
-        layers=layers,
-        final_gain=ones(d),
-        final_bias=zeros(d),
-        pos_embed=w(config.max_seq, d),
-        cls_token=w(1, d),
-    )
-    if with_patch:
-        bundle.patch_proj = w(config.patch ** 2 * config.channels, d)
-        bundle.patch_bias = zeros(d)
-    return bundle
+    draw = {"normal": lambda shape: rng.normal(0.0, scale, shape),
+            "zeros": np.zeros, "ones": np.ones}
+    return _build(config, with_patch, lambda name, shape, init: draw[init](shape))
 
 
 def zero_bundle(config: EncoderConfig) -> EncoderBundle:
@@ -251,17 +203,17 @@ def zero_bundle(config: EncoderConfig) -> EncoderBundle:
     return b
 
 
-def patch_embed(image: Tensor, bundle: EncoderBundle) -> Tensor:
+def patch_embed(image, bundle: EncoderBundle) -> Tensor:
     """Split an H x W x C image into P x P patches and project each to D.
 
-    Patch order is row-major over the patch grid; each patch flattens in
-    row-major (row, column, channel) order before projection.
+    The image is input data (an array or a Tensor; no gradient flows back
+    to it); its patches are :func:`flatten_patches` rows.
     """
     if bundle.patch_proj is None:
         raise ContractError("bundle has no patch projection weights")
     cfg = bundle.config
-    img = image if isinstance(image, Tensor) else Tensor(image)
-    if img.data.ndim != 3:
+    img = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
+    if img.ndim != 3:
         raise DimensionError(f"expected H x W x C image, got shape {img.shape}")
     h, w, c = img.shape
     p = cfg.patch
@@ -269,46 +221,46 @@ def patch_embed(image: Tensor, bundle: EncoderBundle) -> Tensor:
         raise DimensionError(f"image {h}x{w} not divisible into {p}x{p} patches")
     if c != cfg.channels:
         raise DimensionError(f"expected {cfg.channels} channels, got {c}")
-    gh, gw = h // p, w // p
-    grid = T.reshape(img, (gh, p, gw, p, c))
-    grid = T.swap_axes(grid, 1, 2)
-    flat = T.reshape(grid, (gh * gw, p * p * c))
-    tokens = T.matmul(flat, bundle.patch_proj)
+    tokens = T.matmul(Tensor(flatten_patches(img, p)), bundle.patch_proj)
     if bundle.patch_bias is not None:
         tokens = T.add(tokens, bundle.patch_bias)
     return tokens
 
 
 def flatten_patches(image: np.ndarray, p: int) -> np.ndarray:
-    """(H, W, C) -> (n, P*P*C) rows, patch grid walked row-major."""
+    """(H, W, C) -> (n, P*P*C) rows, patch grid walked row-major.
+
+    Each patch flattens in row-major (row, column, channel) order.
+    """
     h, w, c = image.shape
     gh, gw = h // p, w // p
     r = image.reshape(gh, p, gw, p, c)
     return np.ascontiguousarray(r.transpose(0, 2, 1, 3, 4)).reshape(gh * gw, p * p * c)
 
 
-def assemble_image_sequence(patch_tokens: Tensor, bundle: EncoderBundle) -> Tensor:
-    """Prepend the CLS token and add positional embeddings row by row."""
-    n = patch_tokens.shape[-2]
+def assemble_sequence(tokens: Tensor, bundle: EncoderBundle, use_pos: bool = True) -> Tensor:
+    """[CLS, t_1..t_n] for (n, D) or (B, n, D) tokens (patches or tabular views).
+
+    With ``use_pos`` the first n + 1 rows of the positional table are added
+    (a truncation of the pre-trained table).
+    """
+    n = tokens.shape[-2]
     cfg = bundle.config
     if n + 1 > cfg.max_seq:
-        raise CapacityError(f"{n} patches + CLS exceeds max_seq {cfg.max_seq}")
+        raise CapacityError(f"{n} tokens + CLS exceeds max_seq {cfg.max_seq}")
     if n < 1:
-        raise CapacityError("need at least one patch token besides CLS")
-    if patch_tokens.data.ndim == 3:
-        cls = T.expand_leading(bundle.cls_token, patch_tokens.shape[0])
-        seq = T.concat([cls, patch_tokens], axis=1)
+        raise CapacityError("need at least one token besides CLS")
+    if tokens.data.ndim == 3:
+        cls = T.expand_leading(bundle.cls_token, tokens.shape[0])
+        seq = T.concat([cls, tokens], axis=1)
     else:
-        seq = T.concat([bundle.cls_token, patch_tokens], axis=0)
-    return T.add(seq, _pos_slice(bundle, n + 1))
-
-
-def _pos_slice(bundle: EncoderBundle, length: int) -> Tensor:
-    """First `length` positional rows (truncation of the pre-trained table)."""
-    pos = bundle.pos_embed
-    if pos.shape[0] == length:
-        return pos
-    return T.narrow(pos, 0, 0, length)
+        seq = T.concat([bundle.cls_token, tokens], axis=0)
+    if use_pos:
+        pos = bundle.pos_embed
+        if pos.shape[0] != n + 1:
+            pos = T.narrow(pos, 0, 0, n + 1)
+        seq = T.add(seq, pos)
+    return seq
 
 
 def _ln(x: np.ndarray, eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
@@ -446,19 +398,8 @@ def encoder_forward(t0: Tensor, bundle: EncoderBundle, layer_range: LayerRange) 
 
 def save_weights(bundle: EncoderBundle, path: str | Path) -> None:
     """Write the bundle; loading it back reproduces every tensor bit-exactly."""
-    cfg = bundle.config
-    meta = {
-        "depth": str(cfg.depth),
-        "dim": str(cfg.dim),
-        "heads": str(cfg.heads),
-        "mlp_ratio": str(cfg.mlp_ratio),
-        "max_seq": str(cfg.max_seq),
-        "patch": str(cfg.patch),
-        "channels": str(cfg.channels),
-        "image_h": str(cfg.image_hw[0]),
-        "image_w": str(cfg.image_hw[1]),
-    }
-    wio.save_tensors(path, bundle.named_tensors(), metadata=meta)
+    wio.save_tensors(path, bundle.named_tensors(),
+                     metadata={"encoder": json.dumps(asdict(bundle.config))})
 
 
 def load_weights(path: str | Path, config: EncoderConfig) -> EncoderBundle:
@@ -469,53 +410,46 @@ def load_weights(path: str | Path, config: EncoderConfig) -> EncoderBundle:
 
 def bundle_from_tensors(tensors: dict[str, np.ndarray],
                         config: EncoderConfig) -> EncoderBundle:
-    with_patch = "patch_proj.weight" in tensors
-    expected = _expected_shapes(config, with_patch)
-    for name, shape in expected.items():
-        arr = wio.require(tensors, name)
-        if arr.shape != shape:
-            raise DimensionError(
-                f"tensor {name!r}: expected shape {shape}, found {arr.shape}")
+    """The bundle `config` describes; every spec tensor must be present with its shape.
 
-    def t(name):
-        return Tensor(tensors[name])
-
-    layers = []
-    for i in range(config.depth):
-        p = f"layers.{i}"
-        layers.append(EncoderLayer(
-            ln1_gain=t(f"{p}.ln1.weight"), ln1_bias=t(f"{p}.ln1.bias"),
-            wq=t(f"{p}.attn.q.weight"), bq=t(f"{p}.attn.q.bias"),
-            wk=t(f"{p}.attn.k.weight"), bk=t(f"{p}.attn.k.bias"),
-            wv=t(f"{p}.attn.v.weight"), bv=t(f"{p}.attn.v.bias"),
-            wo=t(f"{p}.attn.proj.weight"), bo=t(f"{p}.attn.proj.bias"),
-            ln2_gain=t(f"{p}.ln2.weight"), ln2_bias=t(f"{p}.ln2.bias"),
-            w1=t(f"{p}.mlp.fc1.weight"), b1=t(f"{p}.mlp.fc1.bias"),
-            w2=t(f"{p}.mlp.fc2.weight"), b2=t(f"{p}.mlp.fc2.bias"),
-        ))
-    bundle = EncoderBundle(
-        config=config,
-        layers=layers,
-        final_gain=t("final_norm.weight"),
-        final_bias=t("final_norm.bias"),
-        pos_embed=t("pos_embed"),
-        cls_token=t("cls_token"),
-        patch_proj=t("patch_proj.weight") if with_patch else None,
-        patch_bias=t("patch_proj.bias") if with_patch else None,
-    )
+    The optional patch projection loads when any of its tensors is present.
+    Other names (an adapter's, a head's) are ignored.
+    """
+    with_patch = any(f.metadata["name"] in tensors
+                     for f in _BUNDLE_SLOTS if f.default is not MISSING)
+    bundle = _build(config, with_patch,
+                    lambda name, shape, init: wio.require(tensors, name, shape))
     bundle._load_checksum = bundle.checksum()
     return bundle
 
 
+def read_metadata(meta: dict[str, str], key: str, names: Iterable[str]) -> dict:
+    """The JSON object stored under ``meta[key]``, which must hold exactly `names`.
+
+    JSON lists come back as tuples. Raises :class:`ConfigError` naming the
+    key when the value is missing, is not a JSON object, or has unknown or
+    missing fields.
+    """
+    if key not in meta:
+        raise ConfigError(f"metadata has no {key!r} entry")
+    try:
+        value = json.loads(meta[key])
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"metadata {key!r} is not valid JSON: {e}") from None
+    if not isinstance(value, dict):
+        raise ConfigError(f"metadata {key!r} is not a JSON object: {meta[key]!r}")
+    names = set(names)
+    if value.keys() != names:
+        raise ConfigError(f"metadata {key!r}: unknown fields {sorted(value.keys() - names)}, "
+                          f"missing fields {sorted(names - value.keys())}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in value.items()}
+
+
+def read_config(meta: dict[str, str], key: str, cls):
+    """The config dataclass `cls` stored as one JSON value under ``meta[key]``."""
+    return cls(**read_metadata(meta, key, [f.name for f in fields(cls)]))
+
+
 def config_from_metadata(meta: dict[str, str]) -> EncoderConfig:
     """Rebuild an EncoderConfig from a container's metadata block."""
-    return EncoderConfig(
-        depth=int(meta["depth"]),
-        dim=int(meta["dim"]),
-        heads=int(meta["heads"]),
-        mlp_ratio=int(meta["mlp_ratio"]),
-        max_seq=int(meta["max_seq"]),
-        patch=int(meta.get("patch", "4")),
-        channels=int(meta.get("channels", "1")),
-        image_hw=(int(meta.get("image_h", "8")), int(meta.get("image_w", "8"))),
-    )
+    return read_config(meta, "encoder", EncoderConfig)

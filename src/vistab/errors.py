@@ -51,9 +51,5 @@ class StratificationError(VistabError):
     """Stratified splitting could not give every class a training sample."""
 
 
-class PretrainError(VistabError):
-    """Synthetic pre-training failed to reach minimum accuracy."""
-
-
 class ConfigError(VistabError):
-    """Experiment configuration is invalid or incomplete."""
+    """A stored configuration (e.g. checkpoint metadata) is missing, malformed or incomplete."""

@@ -10,7 +10,8 @@ which is the no-encoder ablation arm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,13 @@ import numpy as np
 from . import encoder as enc
 from . import tensor as T
 from . import weights as wio
-from .encoder import EncoderBundle, EncoderConfig, LayerRange
+from .encoder import EncoderBundle, LayerRange
 from .errors import CapacityError, ContractError, DimensionError
 from .tensor import Tensor
 
 FREEZE_MODES = ("frozen", "fine_tune", "fully_trained")
+# VisTabNet's own settings, stored under the checkpoint's "model" metadata key
+_MODEL_FIELDS = ("use_pos", "pool", "freeze_mode")
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,10 @@ class AdapterConfig:
     @property
     def hidden(self) -> int:
         return self.hidden_dim if self.hidden_dim is not None else self.out_dim
+
+    @property
+    def n_stacks(self) -> int:
+        return 1 if self.shared else self.n_views
 
     def layer_widths(self) -> list[tuple[int, int]]:
         dims = [self.input_dim] + [self.hidden] * (self.depth - 1) + [self.out_dim]
@@ -84,8 +91,7 @@ class AdapterWeights:
     @classmethod
     def init(cls, config: AdapterConfig, seed: int = 0) -> "AdapterWeights":
         rng = np.random.default_rng(seed)
-        n_stacks = 1 if config.shared else config.n_views
-        views = [_init_stack(rng, config.layer_widths()) for _ in range(n_stacks)]
+        views = [_init_stack(rng, config.layer_widths()) for _ in range(config.n_stacks)]
         return cls(config=config, views=views)
 
     def stack_for_view(self, i: int) -> list[tuple[Tensor, Tensor]]:
@@ -110,15 +116,8 @@ class HeadWeights:
 
 
 @dataclass
-class FreezeFlags:
-    adapter: bool = False
-    encoder: bool = True
-    head: bool = False
-
-
-@dataclass
 class VisTabNet:
-    """Adapter -> encoder slice -> head, with per-component freeze flags."""
+    """Adapter -> encoder slice -> head; `freeze_mode` is one of FREEZE_MODES."""
 
     adapter: AdapterWeights
     head: HeadWeights
@@ -126,7 +125,7 @@ class VisTabNet:
     layer_range: LayerRange | None = None
     use_pos: bool = True
     pool: str = "cls"  # "cls" or "mean" over non-CLS tokens
-    freeze: FreezeFlags = field(default_factory=FreezeFlags)
+    freeze_mode: str = "frozen"
 
     def __post_init__(self):
         if self.encoder is not None:
@@ -144,15 +143,7 @@ class VisTabNet:
             if self.layer_range is None:
                 self.layer_range = LayerRange(0, self.encoder.config.depth)
             self.layer_range.validate(self.encoder.config.depth)
-        self.apply_freeze()
-
-    def apply_freeze(self) -> None:
-        for p in self.adapter.parameters():
-            p.tracked = not self.freeze.adapter
-        for p in self.head.parameters():
-            p.tracked = not self.freeze.head
-        if self.encoder is not None:
-            self.encoder.set_tracked(not self.freeze.encoder)
+        set_freeze_mode(self, self.freeze_mode)
 
     def parameter_groups(self) -> dict[str, list[Tensor]]:
         groups = {"adapter": self.adapter.parameters(), "head": self.head.parameters()}
@@ -203,23 +194,8 @@ def adapter_forward(x, adapter: AdapterWeights) -> Tensor:
     return out
 
 
-def assemble_tabular_sequence(views: Tensor, bundle: EncoderBundle,
-                              use_pos: bool = True) -> Tensor:
-    """[CLS, v_1..v_n]; positional rows are added (truncated) when use_pos."""
-    n = views.shape[-2]
-    if n + 1 > bundle.config.max_seq:
-        raise CapacityError(f"{n} views + CLS exceeds max_seq {bundle.config.max_seq}")
-    if views.data.ndim == 3:
-        cls = T.expand_leading(bundle.cls_token, views.shape[0])
-        seq = T.concat([cls, views], axis=1)
-    else:
-        seq = T.concat([bundle.cls_token, views], axis=0)
-    if use_pos:
-        pos = bundle.pos_embed
-        if pos.shape[0] != n + 1:
-            pos = T.narrow(pos, 0, 0, n + 1)
-        seq = T.add(seq, pos)
-    return seq
+# a module attribute of its own, looked up by model_forward at call time
+assemble_tabular_sequence = enc.assemble_sequence
 
 
 def model_forward(x, model: VisTabNet) -> Tensor:
@@ -245,12 +221,17 @@ def model_forward(x, model: VisTabNet) -> Tensor:
 
 
 def set_freeze_mode(model: VisTabNet, mode: str) -> VisTabNet:
-    """frozen: encoder weights stop tracking; fine_tune / fully_trained: all track."""
+    """frozen: encoder weights stop tracking; fine_tune / fully_trained: all track.
+
+    The adapter and the head always track.
+    """
     if mode not in FREEZE_MODES:
         raise ContractError(f"unknown freeze mode {mode!r}; expected one of {FREEZE_MODES}")
-    frozen_encoder = mode == "frozen"
-    model.freeze = FreezeFlags(adapter=False, encoder=frozen_encoder, head=False)
-    model.apply_freeze()
+    model.freeze_mode = mode
+    for p in model.adapter.parameters() + model.head.parameters():
+        p.tracked = True
+    if model.encoder is not None:
+        model.encoder.set_tracked(mode != "frozen")
     return model
 
 
@@ -258,106 +239,46 @@ def count_trainable(model: VisTabNet) -> int:
     return sum(p.size for p in model.parameters() if p.tracked)
 
 
-def _adapter_names(adapter: AdapterWeights) -> dict[str, np.ndarray]:
-    out = {}
-    for i, stack in enumerate(adapter.views):
-        for j, (w, b) in enumerate(stack):
-            out[f"adapter.view{i}.layer{j}.weight"] = w.data
-            out[f"adapter.view{i}.layer{j}.bias"] = b.data
-    return out
-
-
-def _head_names(head: HeadWeights) -> dict[str, np.ndarray]:
-    out = {}
-    for j, (w, b) in enumerate(head.layers):
-        out[f"head.layer{j}.weight"] = w.data
-        out[f"head.layer{j}.bias"] = b.data
-    return out
+def _dense_slots(adapter: AdapterConfig, head: HeadConfig) -> list[list[tuple]]:
+    """Checkpoint name and shape of each layer's (w, b): every adapter stack, then the head."""
+    stacks = [(f"adapter.view{i}", adapter.layer_widths()) for i in range(adapter.n_stacks)]
+    stacks.append(("head", head.layer_widths()))
+    return [[((f"{prefix}.layer{j}.weight", (i, o)), (f"{prefix}.layer{j}.bias", (o,)))
+             for j, (i, o) in enumerate(widths)] for prefix, widths in stacks]
 
 
 def save_checkpoint(model: VisTabNet, path: str | Path) -> None:
-    """One container holding encoder, adapter, and head tensors."""
+    """One container holding encoder, adapter, and head tensors and their configs."""
+    configs = {"adapter": model.adapter.config, "head": model.head.config}
     tensors: dict[str, np.ndarray] = {}
-    meta: dict[str, str] = {
-        "adapter.input_dim": str(model.adapter.config.input_dim),
-        "adapter.n_views": str(model.adapter.config.n_views),
-        "adapter.depth": str(model.adapter.config.depth),
-        "adapter.hidden_dim": str(model.adapter.config.hidden),
-        "adapter.out_dim": str(model.adapter.config.out_dim),
-        "adapter.shared": "1" if model.adapter.config.shared else "0",
-        "head.in_dim": str(model.head.config.in_dim),
-        "head.n_classes": str(model.head.config.n_classes),
-        "head.depth": str(model.head.config.depth),
-        "use_pos": "1" if model.use_pos else "0",
-        "pool": model.pool,
-    }
-    if model.head.config.hidden_dim is not None:
-        meta["head.hidden_dim"] = str(model.head.config.hidden_dim)
     if model.encoder is not None:
+        configs.update(encoder=model.encoder.config, layer_range=model.layer_range)
         tensors.update(model.encoder.named_tensors())
-        cfg = model.encoder.config
-        meta.update({
-            "encoder.depth": str(cfg.depth), "encoder.dim": str(cfg.dim),
-            "encoder.heads": str(cfg.heads), "encoder.mlp_ratio": str(cfg.mlp_ratio),
-            "encoder.max_seq": str(cfg.max_seq), "encoder.patch": str(cfg.patch),
-            "encoder.channels": str(cfg.channels),
-            "range.start": str(model.layer_range.start),
-            "range.end": str(model.layer_range.end),
-        })
-    tensors.update(_adapter_names(model.adapter))
-    tensors.update(_head_names(model.head))
+    meta = {key: json.dumps(asdict(cfg)) for key, cfg in configs.items()}
+    meta["model"] = json.dumps({name: getattr(model, name) for name in _MODEL_FIELDS})
+    # slots and parameters() both walk the adapter stacks, then the head, layer by layer
+    slots = [s for stack in _dense_slots(model.adapter.config, model.head.config)
+             for pair in stack for s in pair]
+    params = model.adapter.parameters() + model.head.parameters()
+    tensors.update((name, p.data) for (name, _), p in zip(slots, params, strict=True))
     wio.save_tensors(path, tensors, metadata=meta)
 
 
 def load_checkpoint(path: str | Path) -> VisTabNet:
+    """Rebuild a saved model; every tensor is shape-checked against its config."""
     tensors, meta = wio.load_tensors(path)
-    adapter_cfg = AdapterConfig(
-        input_dim=int(meta["adapter.input_dim"]),
-        n_views=int(meta["adapter.n_views"]),
-        depth=int(meta["adapter.depth"]),
-        hidden_dim=int(meta["adapter.hidden_dim"]),
-        out_dim=int(meta["adapter.out_dim"]),
-        shared=meta.get("adapter.shared") == "1",
-    )
-    n_stacks = 1 if adapter_cfg.shared else adapter_cfg.n_views
-    views = []
-    for i in range(n_stacks):
-        stack = []
-        for j in range(adapter_cfg.depth):
-            w = wio.require(tensors, f"adapter.view{i}.layer{j}.weight")
-            b = wio.require(tensors, f"adapter.view{i}.layer{j}.bias")
-            stack.append((Tensor(w, tracked=True), Tensor(b, tracked=True)))
-        views.append(stack)
-    adapter = AdapterWeights(config=adapter_cfg, views=views)
-
-    head_cfg = HeadConfig(
-        in_dim=int(meta["head.in_dim"]),
-        n_classes=int(meta["head.n_classes"]),
-        depth=int(meta["head.depth"]),
-        hidden_dim=int(meta["head.hidden_dim"]) if "head.hidden_dim" in meta else None,
-    )
-    layers = []
-    for j in range(head_cfg.depth):
-        w = wio.require(tensors, f"head.layer{j}.weight")
-        b = wio.require(tensors, f"head.layer{j}.bias")
-        layers.append((Tensor(w, tracked=True), Tensor(b, tracked=True)))
-    head = HeadWeights(config=head_cfg, layers=layers)
-
-    bundle = None
-    layer_range = None
-    if "encoder.depth" in meta:
-        enc_cfg = EncoderConfig(
-            depth=int(meta["encoder.depth"]), dim=int(meta["encoder.dim"]),
-            heads=int(meta["encoder.heads"]), mlp_ratio=int(meta["encoder.mlp_ratio"]),
-            max_seq=int(meta["encoder.max_seq"]), patch=int(meta["encoder.patch"]),
-            channels=int(meta["encoder.channels"]),
-        )
-        sub = {k: v for k, v in tensors.items()
-               if not k.startswith(("adapter.", "head."))}
-        bundle = enc.bundle_from_tensors(sub, enc_cfg)
-        layer_range = LayerRange(int(meta["range.start"]), int(meta["range.end"]))
-
+    adapter_cfg = enc.read_config(meta, "adapter", AdapterConfig)
+    head_cfg = enc.read_config(meta, "head", HeadConfig)
+    stacks = [[tuple(Tensor(wio.require(tensors, name, shape), tracked=True)
+                     for name, shape in pair) for pair in stack]
+              for stack in _dense_slots(adapter_cfg, head_cfg)]
+    bundle = layer_range = None
+    if "encoder" in meta:
+        bundle = enc.bundle_from_tensors(tensors, enc.config_from_metadata(meta))
+        layer_range = enc.read_config(meta, "layer_range", LayerRange)
     return VisTabNet(
-        adapter=adapter, head=head, encoder=bundle, layer_range=layer_range,
-        use_pos=meta.get("use_pos", "1") == "1", pool=meta.get("pool", "cls"),
+        adapter=AdapterWeights(config=adapter_cfg, views=stacks[:-1]),
+        head=HeadWeights(config=head_cfg, layers=stacks[-1]),
+        encoder=bundle, layer_range=layer_range,
+        **enc.read_metadata(meta, "model", _MODEL_FIELDS),
     )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingTensorError, WeightFormatError
+from .errors import DimensionError, MissingTensorError, WeightFormatError
 
 _HEADER_LEN_BYTES = 8
 _DTYPE = "F64"
@@ -118,7 +118,12 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str
     return tensors, metadata
 
 
-def require(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
+def require(tensors: dict[str, np.ndarray], name: str,
+            shape: tuple[int, ...]) -> np.ndarray:
+    """The tensor `name`, which must be present and have `shape`."""
     if name not in tensors:
         raise MissingTensorError(f"required tensor {name!r} not found in weight file")
-    return tensors[name]
+    arr = tensors[name]
+    if arr.shape != shape:
+        raise DimensionError(f"tensor {name!r}: expected shape {shape}, found {arr.shape}")
+    return arr

@@ -272,24 +272,24 @@ class TestAssembleImageSequence:
     def test_zero_tokens_rejected(self):
         bundle = enc.random_bundle(TOY, seed=0)
         with pytest.raises(CapacityError):
-            enc.assemble_image_sequence(Tensor(np.zeros((0, 8))), bundle)
+            enc.assemble_sequence(Tensor(np.zeros((0, 8))), bundle)
 
     def test_too_long_rejected(self):
         bundle = enc.random_bundle(TOY, seed=0)
         with pytest.raises(CapacityError):
-            enc.assemble_image_sequence(Tensor(np.zeros((TOY.max_seq, 8))), bundle)
+            enc.assemble_sequence(Tensor(np.zeros((TOY.max_seq, 8))), bundle)
 
     def test_zero_pos_and_cls_is_prepend(self):
         bundle = enc.zero_bundle(TOY)
         tokens = np.random.default_rng(0).normal(size=(3, 8))
-        seq = enc.assemble_image_sequence(Tensor(tokens), bundle)
+        seq = enc.assemble_sequence(Tensor(tokens), bundle)
         np.testing.assert_array_equal(seq.data[0], np.zeros(8))
         np.testing.assert_array_equal(seq.data[1:], tokens)
 
     def test_rows_are_elementwise_sums(self):
         bundle = enc.random_bundle(TOY, seed=13)
         tokens = np.random.default_rng(14).normal(size=(2, 8))
-        seq = enc.assemble_image_sequence(Tensor(tokens), bundle)
+        seq = enc.assemble_sequence(Tensor(tokens), bundle)
         np.testing.assert_allclose(seq.data[0], bundle.cls_token.data[0] + bundle.pos_embed.data[0])
         np.testing.assert_allclose(seq.data[1], tokens[0] + bundle.pos_embed.data[1])
         np.testing.assert_allclose(seq.data[2], tokens[1] + bundle.pos_embed.data[2])
@@ -305,6 +305,16 @@ class TestSaveLoad:
         assert loaded.load_checksum == bundle.checksum()
         for a, b in zip(bundle.parameters(), loaded.parameters()):
             assert (a.data == b.data).all()
+        enc.save_weights(loaded, tmp_path / "resaved.weights")
+        assert (tmp_path / "resaved.weights").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("cfg, seed, with_patch, digest", [
+        (EncoderConfig(depth=12, dim=192, heads=3, max_seq=17), 0, False,
+         "e91fbdf4525652280d8a3931f8cda7f9bd260baea79394607c77d9ee3fadbdd4"),
+        (TOY, 3, True, "d7db444f6e54d1d9777648677b4606f6b48ee17d0bdf2d9e95f16d0a7080e81c"),
+    ], ids=["vit_tiny", "toy_with_patch"])
+    def test_random_bundle_draw_order_is_pinned(self, cfg, seed, with_patch, digest):
+        assert enc.random_bundle(cfg, seed=seed, with_patch=with_patch).checksum() == digest
 
     def test_checksum_matches_hashlib_reference(self):
         import hashlib

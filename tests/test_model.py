@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from vistab import encoder as enc
 from vistab import model as M
 from vistab import tensor as T
 from vistab.encoder import EncoderConfig, LayerRange
-from vistab.errors import CapacityError, ContractError, DimensionError
+from vistab import weights as wio
+from vistab.errors import CapacityError, ConfigError, ContractError, DimensionError
 from vistab.model import AdapterConfig, HeadConfig
 from vistab.tensor import Tape, Tensor, backward, finite_diff_grad
 
@@ -323,3 +326,65 @@ class TestCheckpoint:
         x = np.random.default_rng(33).normal(size=4)
         np.testing.assert_array_equal(
             M.model_forward(x, model).data, M.model_forward(x, loaded).data)
+
+    def test_round_trip_restores_every_setting(self, tmp_path):
+        cfg = EncoderConfig(depth=2, dim=8, heads=2, mlp_ratio=2, max_seq=6, image_hw=(16, 16))
+        model = M.build_model(
+            AdapterConfig(input_dim=4, n_views=3, depth=2, hidden_dim=None, out_dim=cfg.dim),
+            HeadConfig(in_dim=cfg.dim, n_classes=3, depth=2, hidden_dim=5),
+            bundle=enc.random_bundle(cfg, seed=36, scale=0.3), layer_range=LayerRange(0, 1),
+            seed=36, use_pos=False, pool="mean")
+        M.set_freeze_mode(model, "fine_tune")
+        path = tmp_path / "fine_tune.weights"
+        M.save_checkpoint(model, path)
+        loaded = M.load_checkpoint(path)
+        assert loaded.adapter.config == model.adapter.config
+        assert loaded.head.config == model.head.config
+        assert loaded.encoder.config == cfg
+        assert (loaded.layer_range, loaded.use_pos, loaded.pool, loaded.freeze_mode) == (
+            LayerRange(0, 1), False, "mean", "fine_tune")
+        assert all(p.tracked for p in loaded.parameter_groups()["encoder"])
+        x = np.random.default_rng(37).normal(size=(2, 4))
+        np.testing.assert_array_equal(
+            M.model_forward(x, model).data, M.model_forward(x, loaded).data)
+        resaved = tmp_path / "resaved.weights"
+        M.save_checkpoint(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+        # a checkpoint's encoder entry reads back like a save_weights file's
+        enc.save_weights(model.encoder, tmp_path / "encoder.weights")
+        _, from_checkpoint = wio.load_tensors(path)
+        _, from_weights = wio.load_tensors(tmp_path / "encoder.weights")
+        assert enc.config_from_metadata(from_checkpoint) == cfg
+        assert enc.config_from_metadata(from_weights) == cfg
+
+    @pytest.mark.parametrize("name, wrong", [("adapter.view0.layer0.weight", (4, 7)),
+                                             ("head.layer1.bias", (4,))],
+                             ids=["adapter", "head"])
+    def test_wrong_adapter_or_head_shape_is_named(self, tmp_path, name, wrong):
+        path = tmp_path / "model.weights"
+        M.save_checkpoint(toy_model(seed=38), path)
+        tensors, meta = wio.load_tensors(path)
+        expected = tensors[name].shape
+        tensors[name] = np.zeros(wrong)
+        wio.save_tensors(path, tensors, metadata=meta)
+        with pytest.raises(DimensionError, match=re.escape(
+                f"{name!r}: expected shape {expected}, found {wrong}")):
+            M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, edit", [
+        ("adapter", lambda v: None),
+        ("head", lambda v: v[:-1]),
+        ("model", lambda v: "[]"),
+        ("layer_range", lambda v: json.dumps({**json.loads(v), "step": 1})),
+        ("encoder", lambda v: json.dumps({k: x for k, x in json.loads(v).items() if k != "heads"})),
+    ], ids=["missing", "not_json", "not_object", "unknown_field", "missing_field"])
+    def test_bad_metadata_raises_config_error_naming_key(self, tmp_path, key, edit):
+        path = tmp_path / "model.weights"
+        M.save_checkpoint(toy_model(seed=39), path)
+        tensors, meta = wio.load_tensors(path)
+        value = edit(meta.pop(key))
+        if value is not None:
+            meta[key] = value
+        wio.save_tensors(path, tensors, metadata=meta)
+        with pytest.raises(ConfigError, match=repr(key)):
+            M.load_checkpoint(path)

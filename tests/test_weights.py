@@ -71,7 +71,7 @@ def test_file_size_is_header_plus_payload(tmp_path):
 
 def test_require_missing_name(tmp_path):
     with pytest.raises(MissingTensorError, match="pos_embed"):
-        wio.require({"other": np.zeros(1)}, "pos_embed")
+        wio.require({"other": np.zeros(1)}, "pos_embed", (1,))
 
 
 def test_loaded_arrays_are_writable_aligned_views(tmp_path):
