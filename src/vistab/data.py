@@ -92,10 +92,14 @@ def _parse_cell(raw: str, kind: str, row: int, col: int):
         return None
     if kind == NUMERIC:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise CsvParseError(
                 f"row {row}: column {col} expected a number, got {text!r}")
+        if not math.isfinite(value):  # one NaN would turn the column's statistics into NaN
+            raise CsvParseError(
+                f"row {row}: column {col} expected a finite number, got {text!r}")
+        return value
     return text
 
 

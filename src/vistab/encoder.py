@@ -21,13 +21,33 @@ purpose: on ``(272, 192)`` rows (batch 16, 17 tokens, ViT-Tiny width) one
 ``(D, 3D)`` product took 0.87 ms against 0.97 ms for the three (best of
 400, one OpenBLAS thread, 2-CPU x86-64 VM), about 1 % of a block's
 forward, too little to keep a second weight layout beside the stored one.
+
+A block takes every large array it computes from a private pool of flat
+buffers, reused across steps. Fresh arrays would be freed by ``backward``
+at the end of each step, glibc would trim the freed top of the heap, and
+the next step would fault the same pages back in: about 5,100 minor faults
+and a fifth of a frozen ViT-Tiny step's time. The lifetime rule:
+
+- a buffer the backward reads is leased to that op until its vjp closure
+  is released, i.e. when ``backward`` pops the record, or at once when the
+  forward ran untaped;
+- a forward temporary returns at the end of the forward, a backward
+  temporary at the end of the vjp;
+- the block's output and the gradients it returns are fresh arrays, so
+  pool memory never escapes: tapes may overlap, outputs may be held, and
+  untaped forwards may run on several threads (while no tape is open:
+  the active tape is one for the whole process).
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
+import threading
+import typing
+import weakref
 from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -263,23 +283,68 @@ def assemble_sequence(tokens: Tensor, bundle: EncoderBundle, use_pos: bool = Tru
     return seq
 
 
-def _ln(x: np.ndarray, eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized rows and their inverse standard deviations (population variance)."""
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+class _BufferPool:
+    """Idle flat float64 buffers, lent out as shaped views and matched by capacity.
+
+    :meth:`take` views the smallest idle buffer that holds the shape, or a
+    new one when none does, so a short batch reuses a full batch's buffers.
+    A lock guards the idle list. Nothing done under it can start the cycle
+    collector, so a finalizer that gives buffers back never runs inside it.
+    """
+
+    def __init__(self):
+        self._idle: list[np.ndarray] = []  # sorted by size
+        self._lock = threading.Lock()
+        self.allocated = 0  # buffers made so far; each is idle or leased
+
+    def take(self, lease: list[np.ndarray], *shape: int) -> np.ndarray:
+        """A ``shape`` view of a buffer, which is appended to `lease`."""
+        n = math.prod(shape)
+        with self._lock:
+            i = bisect.bisect_left(self._idle, n, key=len)
+            buf = self._idle.pop(i) if i < len(self._idle) else None
+            self.allocated += buf is None
+        if buf is None:
+            buf = np.empty(n)
+        lease.append(buf)
+        return buf[:n].reshape(shape)
+
+    def give(self, lease: list[np.ndarray]) -> None:
+        """Return every buffer of `lease` to the idle list."""
+        with self._lock:
+            for buf in lease:
+                bisect.insort_left(self._idle, buf, key=len)
+        lease.clear()
+
+
+_POOL = _BufferPool()
+
+
+def _ln(x: np.ndarray, xhat: np.ndarray, scratch: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Write x's standardized rows into `xhat`; return their inverse standard deviations.
+
+    Population variance; `scratch` is a buffer of x's shape.
+    """
+    np.subtract(x, x.mean(axis=-1, keepdims=True), out=xhat)
+    inv_std = 1.0 / np.sqrt(np.multiply(xhat, xhat, out=scratch).mean(axis=-1, keepdims=True)
+                            + eps)
     xhat *= inv_std
-    return xhat, inv_std
+    return inv_std
 
 
 def _ln_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gain: Tensor,
-                 bias: Tensor) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(input, gain, bias) gradients of ``xhat * gain + bias``; the last two when tracked."""
-    dxhat = g * gain.data
-    dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
+                 bias: Tensor, dx: np.ndarray, scratch: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(input, gain, bias) gradients of ``xhat * gain + bias``; the last two when tracked.
+
+    The input gradient is written into `dx`; `scratch` is a buffer of g's shape.
+    """
+    dxhat = np.multiply(g, gain.data, out=scratch)
+    np.subtract(dxhat, dxhat.mean(axis=-1, keepdims=True), out=dx)
     dxhat *= xhat
-    dx -= xhat * dxhat.mean(axis=-1, keepdims=True)
+    dx -= np.multiply(xhat, dxhat.mean(axis=-1, keepdims=True), out=scratch)
     dx *= inv_std
-    return (dx, (g * xhat).sum(axis=0) if gain.tracked else None,
+    return (dx, np.multiply(g, xhat, out=scratch).sum(axis=0) if gain.tracked else None,
             g.sum(axis=0) if bias.tracked else None)
 
 
@@ -301,82 +366,111 @@ def _block(x: Tensor, layer: EncoderLayer, cfg: EncoderConfig) -> Tensor:
     (the attention part as in FlashAttention's backward: dP = dO V^T,
     dS = P * (dP - rowsum(dP * P))) and computes a weight's gradient only
     when that weight is tracked, so a frozen block costs its input gradient
-    alone.
+    alone. Every large array but the output and the returned gradients is
+    a pool buffer, leased as the module docstring describes.
     """
     L = layer
     shape = x.shape
     s, d, heads, dh = shape[-2], cfg.dim, cfg.heads, cfg.head_dim
     b = x.size // (s * d)
+    rows, hidden = b * s, cfg.mlp_hidden
     scale = 1.0 / math.sqrt(dh)
 
     def split(t):  # (b*s, d) -> (b, heads, s, dh), a view
         return t.reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(t):  # (b, heads, s, dh) -> (b*s, d)
-        return t.transpose(0, 2, 1, 3).reshape(b * s, d)
+    keep, tmp = [], []  # leases: what the backward reads, the forward's temporaries
+    xhat1, q, k, v, ctx, xhat2 = (_POOL.take(keep, rows, d) for _ in range(6))
+    u, cdf = _POOL.take(keep, rows, hidden), _POOL.take(keep, rows, hidden)
+    p = _POOL.take(keep, b, heads, s, s)
+    x1, h = _POOL.take(tmp, rows, d), _POOL.take(tmp, rows, d)  # h: one temporary at a time
 
-    x0 = x.data.reshape(b * s, d)
-    xhat1, inv1 = _ln(x0)
-    h1 = xhat1 * L.ln1_gain.data + L.ln1_bias.data
-    q, k, v = (split(h1 @ w.data + bias.data)
-               for w, bias in ((L.wq, L.bq), (L.wk, L.bk), (L.wv, L.bv)))
-    del h1
-    p = q @ k.swapaxes(-1, -2)
+    x0 = x.data.reshape(rows, d)
+    inv1 = _ln(x0, xhat1, h)
+    np.multiply(xhat1, L.ln1_gain.data, out=h)  # h1
+    h += L.ln1_bias.data
+    for w, bias, t in ((L.wq, L.bq, q), (L.wk, L.bk, k), (L.wv, L.bv, v)):
+        np.matmul(h, w.data, out=t)
+        t += bias.data
+    q, k, v = split(q), split(k), split(v)
+    np.matmul(q, k.swapaxes(-1, -2), out=p)
     p *= scale
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    ctx = merge(p @ v)
-    x1 = x0 + (ctx @ L.wo.data + L.bo.data)
+    np.matmul(p, v, out=split(ctx))
+    np.matmul(ctx, L.wo.data, out=h)  # the attention branch
+    h += L.bo.data
+    np.add(x0, h, out=x1)
 
-    xhat2, inv2 = _ln(x1)
-    u = (xhat2 * L.ln2_gain.data + L.ln2_bias.data) @ L.w1.data + L.b1.data
-    cdf = u * _INV_SQRT2
+    inv2 = _ln(x1, xhat2, h)
+    np.multiply(xhat2, L.ln2_gain.data, out=h)  # h2
+    h += L.ln2_bias.data
+    np.matmul(h, L.w1.data, out=u)
+    u += L.b1.data
+    np.multiply(u, _INV_SQRT2, out=cdf)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out = x1 + ((u * cdf) @ L.w2.data + L.b2.data)
-    del x1
+    np.matmul(np.multiply(u, cdf, out=_POOL.take(tmp, rows, hidden)), L.w2.data,
+              out=h)  # the MLP branch
+    h += L.b2.data
+    out = x1 + h
+    _POOL.give(tmp)
 
     def vjp(g):
-        gy = g.reshape(b * s, d)
-        gw2, gb2 = _linear_grads(u * cdf if L.w2.tracked else None, gy, L.w2, L.b2)
-        slope = u * u  # GELU'(u) = cdf + u * pdf, built in one buffer
+        tmp = []  # the backward's temporaries
+        wide, gu = _POOL.take(tmp, rows, hidden), _POOL.take(tmp, rows, hidden)
+        h, gh, gx1, gq, gk, gv = (_POOL.take(tmp, rows, d) for _ in range(6))  # h, gh: reused
+        gs, gsp = _POOL.take(tmp, b, heads, s, s), _POOL.take(tmp, b, heads, s, s)
+        gy = g.reshape(rows, d)
+        gw2, gb2 = _linear_grads(np.multiply(u, cdf, out=wide) if L.w2.tracked else None,
+                                 gy, L.w2, L.b2)
+        slope = np.multiply(u, u, out=wide)  # GELU'(u) = cdf + u * pdf, built in one buffer
         slope *= -0.5
         np.exp(slope, out=slope)
         slope *= _INV_SQRT_2PI
         slope *= u
         slope += cdf
-        gu = gy @ L.w2.data.T
+        np.matmul(gy, L.w2.data.T, out=gu)
         gu *= slope
-        del slope
-        h2 = xhat2 * L.ln2_gain.data + L.ln2_bias.data if L.w1.tracked else None
+        h2 = None
+        if L.w1.tracked:
+            h2 = np.multiply(xhat2, L.ln2_gain.data, out=h)
+            h2 += L.ln2_bias.data
         gw1, gb1 = _linear_grads(h2, gu, L.w1, L.b1)
-        gx1, gg2, gbb2 = _ln_backward(gu @ L.w1.data.T, xhat2, inv2, L.ln2_gain, L.ln2_bias)
+        gx1, gg2, gbb2 = _ln_backward(np.matmul(gu, L.w1.data.T, out=gh), xhat2, inv2,
+                                      L.ln2_gain, L.ln2_bias, gx1, h)
         gx1 += gy
 
         gwo, gbo = _linear_grads(ctx, gx1, L.wo, L.bo)
-        gctx = split(gx1 @ L.wo.data.T)
-        gv = merge(p.swapaxes(-1, -2) @ gctx)
-        gs = gctx @ v.swapaxes(-1, -2)
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gctx = split(np.matmul(gx1, L.wo.data.T, out=gh))
+        np.matmul(p.swapaxes(-1, -2), gctx, out=split(gv))
+        np.matmul(gctx, v.swapaxes(-1, -2), out=gs)
+        gs -= np.multiply(gs, p, out=gsp).sum(axis=-1, keepdims=True)
         gs *= p
         gs *= scale
-        gq, gk = merge(gs @ k), merge(gs.swapaxes(-1, -2) @ q)
-        h1 = (xhat1 * L.ln1_gain.data + L.ln1_bias.data
-              if L.wq.tracked or L.wk.tracked or L.wv.tracked else None)
+        np.matmul(gs, k, out=split(gq))
+        np.matmul(gs.swapaxes(-1, -2), q, out=split(gk))
+        h1 = None
+        if L.wq.tracked or L.wk.tracked or L.wv.tracked:
+            h1 = np.multiply(xhat1, L.ln1_gain.data, out=h)
+            h1 += L.ln1_bias.data
         gwq, gbq = _linear_grads(h1, gq, L.wq, L.bq)
         gwk, gbk = _linear_grads(h1, gk, L.wk, L.bk)
         gwv, gbv = _linear_grads(h1, gv, L.wv, L.bv)
-        gh1 = gq @ L.wq.data.T
-        gh1 += gk @ L.wk.data.T
-        gh1 += gv @ L.wv.data.T
-        gx, gg1, gbb1 = _ln_backward(gh1, xhat1, inv1, L.ln1_gain, L.ln1_bias)
+        gh1 = np.matmul(gq, L.wq.data.T, out=gh)
+        gh1 += np.matmul(gk, L.wk.data.T, out=h)
+        gh1 += np.matmul(gv, L.wv.data.T, out=h)
+        gx, gg1, gbb1 = _ln_backward(gh1, xhat1, inv1, L.ln1_gain, L.ln1_bias,
+                                     np.empty((rows, d)), h)
         gx += gx1
+        _POOL.give(tmp)
         # the order of (x, *L.tensors())
         return (gx.reshape(shape), gg1, gbb1, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
                 gg2, gbb2, gw1, gb1, gw2, gb2)
 
+    weakref.finalize(vjp, _POOL.give, keep)
     return T.custom(out.reshape(shape), (x, *L.tensors()), vjp)
 
 
@@ -423,12 +517,28 @@ def bundle_from_tensors(tensors: dict[str, np.ndarray],
     return bundle
 
 
-def read_metadata(meta: dict[str, str], key: str, names: Iterable[str]) -> dict:
-    """The JSON object stored under ``meta[key]``, which must hold exactly `names`.
+def _fits(value, hint) -> bool:
+    """Whether a JSON-read value is of the evaluated annotation `hint`.
 
-    JSON lists come back as tuples. Raises :class:`ConfigError` naming the
-    key when the value is missing, is not a JSON object, or has unknown or
-    missing fields.
+    Exact types, so ``True`` is no ``int``; ``X | None`` admits None and a
+    ``tuple[...]`` needs one element of each listed type.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, tuple) and len(value) == len(args) and all(map(_fits, value, args))
+    if args:  # a union
+        return any(_fits(value, a) for a in args)
+    return type(value) is hint
+
+
+def read_metadata(meta: dict[str, str], key: str, cls,
+                  names: Iterable[str] | None = None) -> dict:
+    """The JSON object under ``meta[key]``: exactly the fields `names` of dataclass `cls`.
+
+    `names` defaults to all of its fields. JSON lists come back as tuples.
+    Raises :class:`ConfigError` naming the key when the value is missing,
+    is not a JSON object, has unknown or missing fields, or holds a value
+    that is not of its field's annotated type (then naming the field too).
     """
     if key not in meta:
         raise ConfigError(f"metadata has no {key!r} entry")
@@ -438,16 +548,23 @@ def read_metadata(meta: dict[str, str], key: str, names: Iterable[str]) -> dict:
         raise ConfigError(f"metadata {key!r} is not valid JSON: {e}") from None
     if not isinstance(value, dict):
         raise ConfigError(f"metadata {key!r} is not a JSON object: {meta[key]!r}")
-    names = set(names)
+    declared = {f.name: f for f in fields(cls)}
+    names = set(declared if names is None else names)
     if value.keys() != names:
         raise ConfigError(f"metadata {key!r}: unknown fields {sorted(value.keys() - names)}, "
                           f"missing fields {sorted(names - value.keys())}")
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in value.items()}
+    value = {k: tuple(v) if isinstance(v, list) else v for k, v in value.items()}
+    hints = typing.get_type_hints(cls)
+    for name in sorted(names):
+        if not _fits(value[name], hints[name]):
+            raise ConfigError(f"metadata {key!r}: field {name!r} must be "
+                              f"{declared[name].type}, got {value[name]!r}")
+    return value
 
 
 def read_config(meta: dict[str, str], key: str, cls):
     """The config dataclass `cls` stored as one JSON value under ``meta[key]``."""
-    return cls(**read_metadata(meta, key, [f.name for f in fields(cls)]))
+    return cls(**read_metadata(meta, key, cls))
 
 
 def config_from_metadata(meta: dict[str, str]) -> EncoderConfig:

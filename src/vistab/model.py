@@ -24,6 +24,7 @@ from .errors import CapacityError, ContractError, DimensionError
 from .tensor import Tensor
 
 FREEZE_MODES = ("frozen", "fine_tune", "fully_trained")
+POOLS = ("cls", "mean")  # the CLS row, or the mean over the non-CLS rows
 # VisTabNet's own settings, stored under the checkpoint's "model" metadata key
 _MODEL_FIELDS = ("use_pos", "pool", "freeze_mode")
 
@@ -117,17 +118,19 @@ class HeadWeights:
 
 @dataclass
 class VisTabNet:
-    """Adapter -> encoder slice -> head; `freeze_mode` is one of FREEZE_MODES."""
+    """Adapter -> encoder slice -> head; `pool` is one of POOLS, `freeze_mode` of FREEZE_MODES."""
 
     adapter: AdapterWeights
     head: HeadWeights
     encoder: EncoderBundle | None = None
     layer_range: LayerRange | None = None
     use_pos: bool = True
-    pool: str = "cls"  # "cls" or "mean" over non-CLS tokens
+    pool: str = "cls"  # one of POOLS
     freeze_mode: str = "frozen"
 
     def __post_init__(self):
+        if self.pool not in POOLS:
+            raise ContractError(f"unknown pool {self.pool!r}; expected one of {POOLS}")
         if self.encoder is not None:
             d = self.encoder.config.dim
             if self.adapter.config.out_dim != d:
@@ -280,5 +283,5 @@ def load_checkpoint(path: str | Path) -> VisTabNet:
         adapter=AdapterWeights(config=adapter_cfg, views=stacks[:-1]),
         head=HeadWeights(config=head_cfg, layers=stacks[-1]),
         encoder=bundle, layer_range=layer_range,
-        **enc.read_metadata(meta, "model", _MODEL_FIELDS),
+        **enc.read_metadata(meta, "model", VisTabNet, _MODEL_FIELDS),
     )

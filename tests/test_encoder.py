@@ -1,4 +1,7 @@
+import json
 import math
+import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ import pytest
 from vistab import encoder as enc
 from vistab import tensor as T
 from vistab.encoder import EncoderConfig, LayerRange
-from vistab.errors import (CapacityError, ContractError, DimensionError,
+from vistab import model as M
+from vistab.errors import (CapacityError, ConfigError, ContractError, DimensionError,
                            MissingTensorError, WeightFormatError)
 from vistab.tensor import Tape, Tensor, backward, finite_diff_grad
 
@@ -227,6 +231,130 @@ class TestFusedBlock:
         assert all(p.grad is not None for p in bundle.layers[0].tensors())
 
 
+def pooled_model(mode, cfg=TestFusedBlock.CFG, input_dim=7, seed=50):
+    """A model whose every encoder block runs on pool buffers."""
+    model = M.build_model(
+        M.AdapterConfig(input_dim=input_dim, n_views=cfg.max_seq - 1, out_dim=cfg.dim),
+        M.HeadConfig(in_dim=cfg.dim, n_classes=3), bundle=perturbed_bundle(cfg, seed=seed),
+        layer_range=LayerRange(0, 2), seed=seed)
+    return M.set_freeze_mode(model, mode)
+
+
+def record(model, X, y):
+    """(tape's loss, logits) of one taped forward."""
+    with Tape():
+        logits = M.model_forward(X, model)
+        return T.cross_entropy(logits, y), logits
+
+
+def grads_of(model, loss):
+    """Every parameter gradient (None where none reaches it) after backward(loss)."""
+    backward(loss)
+    grads = [p.grad for p in model.parameters()]
+    T.zero_grads(model.parameters())
+    return grads
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert np.array_equal(g, w)
+
+
+class TestBufferReuse:
+    """The encoder blocks' pool buffers never hold two live values at once."""
+
+    @pytest.mark.parametrize("mode", ["frozen", "fine_tune"])
+    def test_overlapping_tapes_match_serial_runs(self, mode):
+        model = pooled_model(mode)
+        rng = np.random.default_rng(51)
+        Xa, ya = rng.normal(size=(13, 7)), rng.integers(0, 3, 13)
+        Xb, yb = rng.normal(size=(5, 7)), rng.integers(0, 3, 5)
+        X_eval = rng.normal(size=(9, 7))
+
+        loss_a, logits_a = record(model, Xa, ya)
+        want_a = logits_a.data.copy(), grads_of(model, loss_a)
+        loss_b, logits_b = record(model, Xb, yb)
+        want_b = logits_b.data.copy(), grads_of(model, loss_b)
+        want_eval = M.model_forward(X_eval, model).data
+
+        # A and B are both recorded, and an untaped forward runs, before either backward
+        loss_a, logits_a = record(model, Xa, ya)
+        loss_b, logits_b = record(model, Xb, yb)
+        got_eval = M.model_forward(X_eval, model).data
+        got_b = logits_b.data, grads_of(model, loss_b)
+        got_a = logits_a.data, grads_of(model, loss_a)
+
+        assert np.array_equal(got_eval, want_eval)
+        for got, want in ((got_a, want_a), (got_b, want_b)):
+            assert np.array_equal(got[0], want[0])
+            assert_bit_identical(got[1], want[1])
+            # (w, b) of 5 adapter views and the head; fine_tune adds 2 blocks, pos and CLS
+            assert sum(g is not None for g in got[1]) == 12 + (34 if mode == "fine_tune" else 0)
+
+    def test_held_block_output_keeps_its_values(self):
+        bundle = perturbed_bundle(TestFusedBlock.CFG, seed=52)
+        rng = np.random.default_rng(53)
+        x = Tensor(rng.normal(size=(4, 5, 12)), tracked=True)
+        with Tape():
+            held_taped = enc.encoder_forward(x, bundle, LayerRange(0, 1))
+            loss = T.tsum(held_taped)
+        held = enc.encoder_forward(Tensor(x.data), bundle, LayerRange(0, 1))
+        before = held_taped.data.copy(), held.data.copy()
+        backward(loss)
+        for n in (4, 3, 6, 1):
+            y = Tensor(rng.normal(size=(n, 5, 12)), tracked=True)
+            with Tape():
+                loss = T.tsum(enc.encoder_forward(y, bundle, LayerRange(0, 2)))
+            backward(loss)
+            enc.encoder_forward(Tensor(y.data), bundle, LayerRange(0, 2))
+        assert np.array_equal(held_taped.data, before[0])
+        assert np.array_equal(held.data, before[1])
+
+    def test_pool_stops_growing_after_one_step(self, monkeypatch):
+        pool = enc._BufferPool()
+        monkeypatch.setattr(enc, "_POOL", pool)
+        cfg = EncoderConfig(depth=2, dim=24, heads=3, max_seq=9)
+        model = pooled_model("frozen", cfg, seed=54)
+        rng = np.random.default_rng(55)
+        X, y = rng.normal(size=(16, 7)), rng.integers(0, 3, 16)
+
+        grads_of(model, record(model, X, y)[0])
+        warm = pool.allocated
+        assert warm > 0
+        for step in range(20):
+            n = 12 if step % 5 == 4 else 16  # a batch tail every fifth step
+            grads_of(model, record(model, X[:n], y[:n])[0])
+            if step % 3 == 2:
+                for lo in range(0, 16, 6):  # eval batches of 6, 6 and a tail of 4
+                    M.model_forward(X[lo:lo + 6], model)
+            assert pool.allocated == warm, f"step {step}"
+
+    def test_untaped_forwards_on_two_threads_match_serial(self):
+        model = pooled_model("frozen", EncoderConfig(depth=2, dim=64, heads=4, max_seq=9),
+                             seed=56)
+        rng = np.random.default_rng(57)
+        inputs = [[rng.normal(size=(32, 7)) for _ in range(15)] for _ in range(2)]
+        want = [[M.model_forward(X, model).data for X in xs] for xs in inputs]
+        got = [[], []]
+        start = threading.Barrier(2)
+
+        def run(i):
+            start.wait()
+            got[i].extend(M.model_forward(X, model).data for X in inputs[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for g, w in zip(got, want):
+            assert len(g) == len(w)
+            assert all(np.array_equal(a, b) for a, b in zip(g, w))
+
+
 class TestPatchEmbed:
     def test_patch_counting(self):
         cfg = EncoderConfig(depth=1, dim=4, heads=1, max_seq=5, patch=2,
@@ -366,3 +494,18 @@ class TestSaveLoad:
         enc.save_weights(bundle, path)
         _, meta = wio.load_tensors(path)
         assert enc.config_from_metadata(meta) == TOY
+
+    @pytest.mark.parametrize("field, value", [
+        ("depth", "2"), ("depth", True), ("depth", 2.0), ("depth", None),
+        ("image_hw", [8]), ("image_hw", [8, "8"]), ("image_hw", 8),
+    ], ids=["str", "bool", "float", "null", "short_pair", "str_in_pair", "not_a_pair"])
+    def test_metadata_value_of_wrong_type_names_field(self, field, value):
+        fields = {**asdict(TOY), field: value}
+        with pytest.raises(ConfigError, match=f"'encoder': field '{field}'"):
+            enc.config_from_metadata({"encoder": json.dumps(fields)})
+
+    def test_optional_int_accepts_null(self):
+        fields = {"input_dim": 4, "n_views": 2, "depth": 2, "hidden_dim": None,
+                  "out_dim": 8, "shared": False}
+        got = enc.read_config({"adapter": json.dumps(fields)}, "adapter", M.AdapterConfig)
+        assert got == M.AdapterConfig(**fields)

@@ -10,7 +10,8 @@ from vistab import model as M
 from vistab import tensor as T
 from vistab.encoder import EncoderConfig, LayerRange
 from vistab import weights as wio
-from vistab.errors import CapacityError, ConfigError, ContractError, DimensionError
+from vistab.errors import (CapacityError, ConfigError, ContractError, DimensionError,
+                           VistabError)
 from vistab.model import AdapterConfig, HeadConfig
 from vistab.tensor import Tape, Tensor, backward, finite_diff_grad
 
@@ -222,6 +223,21 @@ class TestFreezeAndCounting:
         first = [p.tracked for p in model.parameters()]
         M.set_freeze_mode(model, "frozen")
         assert [p.tracked for p in model.parameters()] == first
+
+    @pytest.mark.parametrize("path", ["build", "checkpoint"])
+    def test_unknown_pool_is_named(self, tmp_path, path):
+        if path == "build":  # also without an encoder, where pool is never read
+            with pytest.raises(ContractError, match="'max'"):
+                M.build_model(AdapterConfig(input_dim=4, n_views=3, out_dim=CFG.dim),
+                              HeadConfig(in_dim=CFG.dim, n_classes=3), pool="max")
+        else:
+            file = tmp_path / "model.weights"
+            M.save_checkpoint(toy_model(seed=37), file)
+            tensors, meta = wio.load_tensors(file)
+            meta["model"] = json.dumps({**json.loads(meta["model"]), "pool": "max"})
+            wio.save_tensors(file, tensors, metadata=meta)
+            with pytest.raises(VistabError, match="'max'"):
+                M.load_checkpoint(file)
 
     def test_unknown_mode(self):
         with pytest.raises(ContractError):
