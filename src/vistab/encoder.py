@@ -29,14 +29,19 @@ the next step would fault the same pages back in: about 5,100 minor faults
 and a fifth of a frozen ViT-Tiny step's time. The lifetime rule:
 
 - a buffer the backward reads is leased to that op until its vjp closure
-  is released, i.e. when ``backward`` pops the record, or at once when the
-  forward ran untaped;
+  is released, i.e. when ``backward`` pops the record, at once when the
+  forward ran untaped, or when the cycle collector frees a tape whose loss
+  never reached ``backward``;
 - a forward temporary returns at the end of the forward, a backward
   temporary at the end of the vjp;
 - the block's output and the gradients it returns are fresh arrays, so
   pool memory never escapes: tapes may overlap, outputs may be held, and
   untaped forwards may run on several threads (while no tape is open:
   the active tape is one for the whole process).
+
+The pool does not keep a one-off working set for good: it frees idle
+buffers beyond the most it lent out at once over a window of takes (see
+:class:`_BufferPool`).
 """
 
 from __future__ import annotations
@@ -284,37 +289,79 @@ def assemble_sequence(tokens: Tensor, bundle: EncoderBundle, use_pos: bool = Tru
 
 
 class _BufferPool:
-    """Idle flat float64 buffers, lent out as shaped views and matched by capacity.
+    """Flat float64 buffers, lent out as shaped views and matched by capacity.
 
     :meth:`take` views the smallest idle buffer that holds the shape, or a
     new one when none does, so a short batch reuses a full batch's buffers.
-    A lock guards the idle list. Nothing done under it can start the cycle
-    collector, so a finalizer that gives buffers back never runs inside it.
+    At the end of each window of :attr:`window` takes the pool frees idle
+    buffers, longest idle first, until it holds no more than the most it
+    lent out at once in that window. A one-off large forward, or a working
+    set no longer used, is thus freed one to two windows later (25 to 50
+    steps of a two-block slice), while a window still spans an evaluation
+    pass of a few hundred rows between two training steps; a longer pass
+    costs one step's page faults once.
+
+    Only :meth:`take` holds the lock. :meth:`give` runs from vjp
+    finalizers, which the cycle collector may call anywhere, inside
+    ``take`` too, so it only appends to a list that ``take`` sorts in.
     """
 
+    window = 1024
+
     def __init__(self):
-        self._idle: list[np.ndarray] = []  # sorted by size
+        self._idle: list[tuple[np.ndarray, int]] = []  # (buffer, takes when it came back), by size
+        self._given: list[np.ndarray] = []  # given back, not yet in _idle
         self._lock = threading.Lock()
-        self.allocated = 0  # buffers made so far; each is idle or leased
+        self._takes = 0
+        self._leased = self._held = 0  # floats lent out (or given, not sorted in) / in all buffers
+        self._peak = 0  # the most lent out at once in this window
+        self.allocated = 0  # buffers made so far
 
     def take(self, lease: list[np.ndarray], *shape: int) -> np.ndarray:
         """A ``shape`` view of a buffer, which is appended to `lease`."""
         n = math.prod(shape)
         with self._lock:
-            i = bisect.bisect_left(self._idle, n, key=len)
-            buf = self._idle.pop(i) if i < len(self._idle) else None
-            self.allocated += buf is None
-        if buf is None:
-            buf = np.empty(n)
+            while self._given:
+                buf = self._given.pop()
+                self._leased -= buf.size
+                bisect.insort_left(self._idle, (buf, self._takes), key=_entry_size)
+            i = bisect.bisect_left(self._idle, n, key=_entry_size)
+            if i < len(self._idle):
+                buf = self._idle.pop(i)[0]
+            else:
+                buf = np.empty(n)
+                self._held += n
+                self.allocated += 1
+            self._leased += buf.size
+            self._peak = max(self._peak, self._leased)
+            self._takes += 1
+            if self._takes % self.window == 0:
+                self._trim()
         lease.append(buf)
         return buf[:n].reshape(shape)
 
+    def _trim(self) -> None:
+        """Free idle buffers, longest idle first, down to the window's peak lease."""
+        excess, self._peak = self._held - self._peak, self._leased
+        if excess <= 0:
+            return
+        freed = set()
+        for buf, _ in sorted(self._idle, key=lambda e: e[1]):
+            if excess <= 0:
+                break
+            freed.add(id(buf))
+            excess -= buf.size
+            self._held -= buf.size
+        self._idle = [e for e in self._idle if id(e[0]) not in freed]
+
     def give(self, lease: list[np.ndarray]) -> None:
-        """Return every buffer of `lease` to the idle list."""
-        with self._lock:
-            for buf in lease:
-                bisect.insort_left(self._idle, buf, key=len)
+        """Give every buffer of `lease` back; takes no lock (list.extend is atomic)."""
+        self._given.extend(lease)
         lease.clear()
+
+
+def _entry_size(entry: tuple[np.ndarray, int]) -> int:
+    return entry[0].size
 
 
 _POOL = _BufferPool()

@@ -1,5 +1,8 @@
+import bisect
+import gc
 import json
 import math
+import sys
 import threading
 from dataclasses import asdict
 
@@ -255,6 +258,26 @@ def grads_of(model, loss):
     return grads
 
 
+def pool_sizes(pool):
+    """Sizes of the pool's buffers that are not lent out (given back or idle)."""
+    return sorted([buf.size for buf, _ in pool._idle] + [buf.size for buf in pool._given])
+
+
+def run_on_threads(run, n):
+    """Run ``run(0)`` .. ``run(n - 1)`` on n threads with a short switch interval."""
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
 def assert_bit_identical(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -332,27 +355,98 @@ class TestBufferReuse:
                     M.model_forward(X[lo:lo + 6], model)
             assert pool.allocated == warm, f"step {step}"
 
-    def test_untaped_forwards_on_two_threads_match_serial(self):
+    def test_one_off_large_forward_is_freed_within_two_windows(self, monkeypatch):
+        pool = enc._BufferPool()
+        monkeypatch.setattr(enc, "_POOL", pool)
+        model = pooled_model("frozen", EncoderConfig(depth=2, dim=24, heads=3, max_seq=9),
+                             seed=58)
+        rng = np.random.default_rng(59)
+        X, y = rng.normal(size=(16, 7)), rng.integers(0, 3, 16)
+        grads_of(model, record(model, X, y)[0])
+        warm_sizes = pool_sizes(pool)
+
+        M.model_forward(rng.normal(size=(1000, 7)), model)
+        assert max(pool_sizes(pool)) > 60 * max(warm_sizes)
+        start = pool._takes
+        for _ in range(50):
+            grads_of(model, record(model, X, y)[0])
+        assert pool._takes >= start + 2 * pool.window  # 44 takes a step
+        assert pool_sizes(pool) == warm_sizes
+        assert pool._held == sum(warm_sizes)
+
+    def test_tape_collected_inside_the_pool_lock_gives_its_buffers_back(self, monkeypatch):
+        pool = enc._BufferPool()
+        monkeypatch.setattr(enc, "_POOL", pool)
+        model = pooled_model("frozen", seed=60)
+        X = np.random.default_rng(61).normal(size=(6, 7))
+        collected = []
+        insort = bisect.insort_left
+
+        def insort_then_collect(*args, **kwargs):
+            insort(*args, **kwargs)
+            if not collected:  # the pool's lock is held here
+                collected.append(gc.collect())
+
+        was_enabled = gc.isenabled()
+        gc.disable()  # so that only the collection above frees the abandoned tape
+        try:
+            with Tape():
+                M.model_forward(X, model)  # a taped forward whose loss never reaches backward
+            monkeypatch.setattr(bisect, "insort_left", insort_then_collect)
+            worker = threading.Thread(target=M.model_forward, args=(X, model), daemon=True)
+            worker.start()
+            worker.join(timeout=20)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert not worker.is_alive(), "the pool deadlocked"
+        assert collected and collected[0] > 0
+        assert pool._leased == sum(b.size for b in pool._given)  # nothing is still lent out
+
+    def test_threads_never_share_a_buffer_or_lose_a_count(self):
+        pool = enc._BufferPool()
+        pool.window = 64  # so that trims run among the takes too
+        clashes = []
+
+        def run(i):
+            rng = np.random.default_rng(i)
+            for _ in range(5000):
+                lease = []
+                views = [pool.take(lease, n) for n in rng.integers(1, 50, 3)]
+                for v in views:
+                    v.fill(i)
+                if any((v != i).any() for v in views):
+                    clashes.append(i)
+                pool.give(lease)
+
+        run_on_threads(run, 8)
+        assert not clashes
+        assert pool._leased == sum(b.size for b in pool._given)
+        assert pool._held == sum(pool_sizes(pool))
+
+    def test_untaped_forwards_on_four_threads_match_serial(self, monkeypatch):
+        pool = enc._BufferPool()
+        monkeypatch.setattr(enc, "_POOL", pool)
         model = pooled_model("frozen", EncoderConfig(depth=2, dim=64, heads=4, max_seq=9),
                              seed=56)
         rng = np.random.default_rng(57)
-        inputs = [[rng.normal(size=(32, 7)) for _ in range(15)] for _ in range(2)]
+        inputs = [[rng.normal(size=(rng.integers(1, 33), 7)) for _ in range(10)]
+                  for _ in range(4)]
         want = [[M.model_forward(X, model).data for X in xs] for xs in inputs]
-        got = [[], []]
-        start = threading.Barrier(2)
+        got = [[] for _ in inputs]
+        start = threading.Barrier(len(inputs))
 
         def run(i):
             start.wait()
             got[i].extend(M.model_forward(X, model).data for X in inputs[i])
 
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        run_on_threads(run, len(inputs))
         for g, w in zip(got, want):
             assert len(g) == len(w)
             assert all(np.array_equal(a, b) for a, b in zip(g, w))
+        # every buffer came back, and the pool's byte counts lost no update
+        assert pool._leased == sum(b.size for b in pool._given)
+        assert pool._held == sum(pool_sizes(pool))
 
 
 class TestPatchEmbed:
