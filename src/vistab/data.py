@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ContractError, CsvParseError, StateError,
+from .errors import (ConfigError, ContractError, CsvParseError, StateError,
                      StratificationError)
 
 MISSING_TOKEN = "<missing>"
@@ -113,6 +113,11 @@ def load_csv(path: str | Path, schema: dict | str | Path,
     """
     if isinstance(schema, (str, Path)):
         schema = json.loads(Path(schema).read_text())
+    if not isinstance(schema, dict) or "label" not in schema:
+        raise ConfigError("schema must be a JSON object with a 'label' key")
+    kinds_decl = schema.get("kinds", {})
+    if not isinstance(kinds_decl, (list, dict)):
+        raise ConfigError(f"schema 'kinds' must be a list or an object, got {kinds_decl!r}")
     header = schema.get("header", True)
     path = Path(path)
 
@@ -138,9 +143,11 @@ def load_csv(path: str | Path, schema: dict | str | Path,
         raise CsvParseError(f"{path}: label column {label!r} not found")
     label_idx = columns.index(label_col)
 
-    kinds_decl = schema.get("kinds", {})
     if isinstance(kinds_decl, list):
-        kinds_by_col = {columns[i]: k for i, k in enumerate(kinds_decl)}
+        if len(kinds_decl) > len(columns):
+            raise ConfigError(f"schema 'kinds' has {len(kinds_decl)} entries for "
+                              f"{len(columns)} columns")
+        kinds_by_col = dict(zip(columns, kinds_decl))
     else:
         kinds_by_col = dict(kinds_decl)
     feature_cols = [c for i, c in enumerate(columns) if i != label_idx]

@@ -36,8 +36,8 @@ and a fifth of a frozen ViT-Tiny step's time. The lifetime rule:
   temporary at the end of the vjp;
 - the block's output and the gradients it returns are fresh arrays, so
   pool memory never escapes: tapes may overlap, outputs may be held, and
-  untaped forwards may run on several threads (while no tape is open:
-  the active tape is one for the whole process).
+  untaped forwards may run on several threads, also while another
+  thread holds a tape open.
 
 The pool does not keep a one-off working set for good: it frees idle
 buffers beyond the most it lent out at once over a window of takes (see

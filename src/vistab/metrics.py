@@ -25,6 +25,10 @@ class ConfusionMatrix:
         y_pred = np.asarray(y_pred, dtype=np.int64)
         if y_true.shape != y_pred.shape:
             raise ContractError("true/predicted label arrays differ in length")
+        for kind, labels in (("true", y_true), ("predicted", y_pred)):
+            bad = labels[(labels < 0) | (labels >= n_classes)]
+            if bad.size:
+                raise ContractError(f"{kind} label {bad[0]} outside [0, {n_classes})")
         counts = np.zeros((n_classes, n_classes), dtype=np.int64)
         np.add.at(counts, (y_true, y_pred), 1)
         return cls(counts=counts)

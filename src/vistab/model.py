@@ -1,7 +1,10 @@
 """Multi-view adaptation network, replacement head, and the composed model.
 
 A tabular row x in R^M is mapped by n independent feed-forward projections
-to n pseudo-patch tokens in R^D. The token sequence [CLS, v_1..v_n] runs
+to n pseudo-patch tokens in R^D. The n projections are stored stacked: each
+adapter layer is one ``(n, in, out)`` weight and one ``(n, 1, out)`` bias,
+saved as ``adapter.layer{j}.weight`` / ``adapter.layer{j}.bias``, so every
+view runs in the same batched ops. The token sequence [CLS, v_1..v_n] runs
 through a (possibly sliced, possibly frozen) pre-trained encoder and the
 CLS output row feeds a small classification head. Dropping the encoder
 entirely (``bundle=None``) degenerates to adapter -> mean pool -> head,
@@ -36,7 +39,6 @@ class AdapterConfig:
     depth: int = 1
     hidden_dim: int | None = None
     out_dim: int = 32
-    shared: bool = False  # one projection reused for every view (non-default)
 
     def __post_init__(self):
         if self.n_views < 1 or self.depth < 1:
@@ -45,10 +47,6 @@ class AdapterConfig:
     @property
     def hidden(self) -> int:
         return self.hidden_dim if self.hidden_dim is not None else self.out_dim
-
-    @property
-    def n_stacks(self) -> int:
-        return 1 if self.shared else self.n_views
 
     def layer_widths(self) -> list[tuple[int, int]]:
         dims = [self.input_dim] + [self.hidden] * (self.depth - 1) + [self.out_dim]
@@ -79,27 +77,28 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(0.0, scale, (fan_in, fan_out))
 
 
-def _init_stack(rng, widths) -> list[tuple[Tensor, Tensor]]:
-    return [(Tensor(_glorot(rng, i, o), tracked=True),
-             Tensor(np.zeros(o), tracked=True)) for i, o in widths]
-
-
 @dataclass
 class AdapterWeights:
+    """Every view's projection, stacked: layer j is one ``(n_views, in, out)`` weight
+    and one ``(n_views, 1, out)`` bias (it broadcasts over the batch), checkpointed
+    as ``adapter.layer{j}.weight`` and ``adapter.layer{j}.bias``."""
+
     config: AdapterConfig
-    views: list[list[tuple[Tensor, Tensor]]]
+    layers: list[tuple[Tensor, Tensor]]
 
     @classmethod
     def init(cls, config: AdapterConfig, seed: int = 0) -> "AdapterWeights":
         rng = np.random.default_rng(seed)
-        views = [_init_stack(rng, config.layer_widths()) for _ in range(config.n_stacks)]
-        return cls(config=config, views=views)
-
-    def stack_for_view(self, i: int) -> list[tuple[Tensor, Tensor]]:
-        return self.views[0] if self.config.shared else self.views[i]
+        widths = config.layer_widths()
+        # drawn view by view, then layer by layer, and stacked per layer
+        views = [[_glorot(rng, i, o) for i, o in widths] for _ in range(config.n_views)]
+        return cls(config=config, layers=[
+            (Tensor(np.stack(ws), tracked=True),
+             Tensor(np.zeros((config.n_views, 1, o)), tracked=True))
+            for ws, (_, o) in zip(zip(*views), widths)])
 
     def parameters(self) -> list[Tensor]:
-        return [t for stack in self.views for w, b in stack for t in (w, b)]
+        return [t for w, b in self.layers for t in (w, b)]
 
 
 @dataclass
@@ -110,7 +109,9 @@ class HeadWeights:
     @classmethod
     def init(cls, config: HeadConfig, seed: int = 0) -> "HeadWeights":
         rng = np.random.default_rng(seed)
-        return cls(config=config, layers=_init_stack(rng, config.layer_widths()))
+        return cls(config=config, layers=[
+            (Tensor(_glorot(rng, i, o), tracked=True), Tensor(np.zeros(o), tracked=True))
+            for i, o in config.layer_widths()])
 
     def parameters(self) -> list[Tensor]:
         return [t for w, b in self.layers for t in (w, b)]
@@ -185,13 +186,13 @@ def adapter_forward(x, adapter: AdapterWeights) -> Tensor:
     cfg = adapter.config
     xt = x if isinstance(x, Tensor) else Tensor(x)
     single = xt.data.ndim == 1
-    if xt.shape[-1] != cfg.input_dim:
-        raise DimensionError(
-            f"adapter expects {cfg.input_dim} input features, got {xt.shape[-1]}")
+    if xt.data.ndim > 2 or xt.shape[-1] != cfg.input_dim:
+        raise DimensionError(f"adapter expects (M,) or (B, M) with M = {cfg.input_dim}, "
+                             f"got {xt.shape}")
     if single:
         xt = T.reshape(xt, (1, cfg.input_dim))
-    views = [_run_stack(xt, adapter.stack_for_view(i)) for i in range(cfg.n_views)]
-    out = T.stack(views, axis=-2)  # (B, n, D)
+    # every view at once: (B, M) @ (n, M, D) broadcasts to (n, B, D), then (B, n, D)
+    out = T.swap_axes(_run_stack(xt, adapter.layers), 0, 1)
     if single:
         out = T.reshape(out, (cfg.n_views, cfg.out_dim))
     return out
@@ -243,11 +244,12 @@ def count_trainable(model: VisTabNet) -> int:
 
 
 def _dense_slots(adapter: AdapterConfig, head: HeadConfig) -> list[list[tuple]]:
-    """Checkpoint name and shape of each layer's (w, b): every adapter stack, then the head."""
-    stacks = [(f"adapter.view{i}", adapter.layer_widths()) for i in range(adapter.n_stacks)]
-    stacks.append(("head", head.layer_widths()))
-    return [[((f"{prefix}.layer{j}.weight", (i, o)), (f"{prefix}.layer{j}.bias", (o,)))
-             for j, (i, o) in enumerate(widths)] for prefix, widths in stacks]
+    """Checkpoint name and shape of each layer's (w, b): the adapter's, then the head's."""
+    n = adapter.n_views
+    return [[((f"adapter.layer{j}.weight", (n, i, o)), (f"adapter.layer{j}.bias", (n, 1, o)))
+             for j, (i, o) in enumerate(adapter.layer_widths())],
+            [((f"head.layer{j}.weight", (i, o)), (f"head.layer{j}.bias", (o,)))
+             for j, (i, o) in enumerate(head.layer_widths())]]
 
 
 def save_checkpoint(model: VisTabNet, path: str | Path) -> None:
@@ -259,7 +261,7 @@ def save_checkpoint(model: VisTabNet, path: str | Path) -> None:
         tensors.update(model.encoder.named_tensors())
     meta = {key: json.dumps(asdict(cfg)) for key, cfg in configs.items()}
     meta["model"] = json.dumps({name: getattr(model, name) for name in _MODEL_FIELDS})
-    # slots and parameters() both walk the adapter stacks, then the head, layer by layer
+    # slots and parameters() both walk the adapter, then the head, layer by layer
     slots = [s for stack in _dense_slots(model.adapter.config, model.head.config)
              for pair in stack for s in pair]
     params = model.adapter.parameters() + model.head.parameters()
@@ -272,16 +274,16 @@ def load_checkpoint(path: str | Path) -> VisTabNet:
     tensors, meta = wio.load_tensors(path)
     adapter_cfg = enc.read_config(meta, "adapter", AdapterConfig)
     head_cfg = enc.read_config(meta, "head", HeadConfig)
-    stacks = [[tuple(Tensor(wio.require(tensors, name, shape), tracked=True)
-                     for name, shape in pair) for pair in stack]
-              for stack in _dense_slots(adapter_cfg, head_cfg)]
+    adapter_layers, head_layers = (
+        [tuple(Tensor(wio.require(tensors, name, shape), tracked=True) for name, shape in pair)
+         for pair in stack] for stack in _dense_slots(adapter_cfg, head_cfg))
     bundle = layer_range = None
     if "encoder" in meta:
         bundle = enc.bundle_from_tensors(tensors, enc.config_from_metadata(meta))
         layer_range = enc.read_config(meta, "layer_range", LayerRange)
     return VisTabNet(
-        adapter=AdapterWeights(config=adapter_cfg, views=stacks[:-1]),
-        head=HeadWeights(config=head_cfg, layers=stacks[-1]),
+        adapter=AdapterWeights(config=adapter_cfg, layers=adapter_layers),
+        head=HeadWeights(config=head_cfg, layers=head_layers),
         encoder=bundle, layer_range=layer_range,
         **enc.read_metadata(meta, "model", VisTabNet, _MODEL_FIELDS),
     )

@@ -5,11 +5,12 @@ active and an operand participates in gradient tracking, the op also
 records a backward closure; :func:`backward` replays the tape in exact
 reverse order and accumulates gradients into every tracked leaf.
 
-Each tape is single-use: recording happens on one thread and the tape is
-consumed by the first `backward` call, which releases every record as it
-replays it, so a step's activations are freed without waiting for the
-cycle collector. Tensors not attached to a tape are immutable from this
-module's point of view and safe to share.
+The active tape is per thread: a ``with Tape()`` block records only the ops
+its own thread runs, and other threads' forwards meanwhile stay untaped.
+Each tape is single-use: it is consumed by the first `backward` call, which
+releases every record as it replays it, so a step's activations are freed
+without waiting for the cycle collector. Tensors not attached to a tape are
+immutable from this module's point of view and safe to share.
 
 Besides the generic ops, :func:`custom` lets a caller record one op whose
 forward and vector-Jacobian product it computes itself in plain numpy.
@@ -18,6 +19,7 @@ forward and vector-Jacobian product it computes itself in plain numpy.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +30,12 @@ from .errors import ContractError, DimensionError, TapeError
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_ACTIVE_TAPE: "Tape | None" = None
+
+class _ThreadState(threading.local):
+    tape: "Tape | None" = None  # the innermost open Tape of this thread
+
+
+_ACTIVE = _ThreadState()
 
 
 class Tensor:
@@ -63,33 +70,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detached(self) -> "Tensor":
-        """Copy of the values with no tape participation."""
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, tracked={self.tracked})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(_as_tensor(other), -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -102,14 +84,12 @@ class Tape:
         self._previous: Tape | None = None
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE_TAPE
-        self._previous = _ACTIVE_TAPE
-        _ACTIVE_TAPE = self
+        self._previous = _ACTIVE.tape
+        _ACTIVE.tape = self
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = self._previous
+        _ACTIVE.tape = self._previous
         self._previous = None
         return False
 
@@ -123,7 +103,7 @@ def _as_tensor(x) -> Tensor:
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], bwd: Callable[[np.ndarray], None]) -> Tensor:
-    tape = _ACTIVE_TAPE
+    tape = _ACTIVE.tape
     if tape is None or not any(t.tracked for t in inputs):
         return out
     out.tracked = True
@@ -416,8 +396,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     b, k = logits.shape
     if y.shape != (b,):
         raise DimensionError(f"expected {b} labels, got shape {y.shape}")
-    if y.min(initial=0) < 0 or y.max(initial=0) >= k:
-        raise IndexError(f"labels must lie in [0, {k})")
+    bad = y[(y < 0) | (y >= k)]
+    if bad.size:
+        raise ContractError(f"label {bad[0]} outside [0, {k})")
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1)) + logits.data.max(axis=-1)
     out = Tensor(np.mean(lse - logits.data[np.arange(b), y]))

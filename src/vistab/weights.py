@@ -13,6 +13,7 @@ save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -77,7 +78,7 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str
         raise WeightFormatError("truncated header", offset=len(blob))
     try:
         header = json.loads(blob[_HEADER_LEN_BYTES:header_end].tobytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # also a bad UTF-8 byte, or an integer too long to parse
         pos = getattr(e, "pos", getattr(e, "start", 0))
         raise WeightFormatError(f"header is not valid JSON: {e}", offset=_HEADER_LEN_BYTES + pos)
     if not isinstance(header, dict):
@@ -93,14 +94,17 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str
     for name, info in header.items():
         try:
             dtype = info["dtype"]
-            shape = tuple(int(s) for s in info["shape"])
-            begin, end = (int(v) for v in info["data_offsets"])
+            shape = tuple(info["shape"])
+            begin, end = info["data_offsets"]
         except (KeyError, TypeError, ValueError) as e:
             raise WeightFormatError(f"bad tensor record for {name!r}: {e}", offset=header_end)
+        if any(type(v) is not int or v < 0 for v in (*shape, begin, end)):
+            raise WeightFormatError(f"tensor {name!r} needs non-negative integer shape and "
+                                    f"offsets, got {shape} and [{begin}, {end})")
         if dtype != _DTYPE:
             raise WeightFormatError(f"tensor {name!r} has unsupported dtype {dtype!r}")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
-        if begin < 0 or end - begin != nbytes:
+        nbytes = math.prod(shape) * 8  # a Python int: a hostile shape cannot overflow it
+        if end - begin != nbytes:
             raise WeightFormatError(
                 f"tensor {name!r} declares bytes [{begin}, {end}) for shape {shape}")
         if end > len(data):

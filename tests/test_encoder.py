@@ -314,8 +314,8 @@ class TestBufferReuse:
         for got, want in ((got_a, want_a), (got_b, want_b)):
             assert np.array_equal(got[0], want[0])
             assert_bit_identical(got[1], want[1])
-            # (w, b) of 5 adapter views and the head; fine_tune adds 2 blocks, pos and CLS
-            assert sum(g is not None for g in got[1]) == 12 + (34 if mode == "fine_tune" else 0)
+            # (w, b) of the adapter and the head; fine_tune adds 2 blocks, pos and CLS
+            assert sum(g is not None for g in got[1]) == 4 + (34 if mode == "fine_tune" else 0)
 
     def test_held_block_output_keeps_its_values(self):
         bundle = perturbed_bundle(TestFusedBlock.CFG, seed=52)
@@ -600,6 +600,6 @@ class TestSaveLoad:
 
     def test_optional_int_accepts_null(self):
         fields = {"input_dim": 4, "n_views": 2, "depth": 2, "hidden_dim": None,
-                  "out_dim": 8, "shared": False}
+                  "out_dim": 8}
         got = enc.read_config({"adapter": json.dumps(fields)}, "adapter", M.AdapterConfig)
         assert got == M.AdapterConfig(**fields)

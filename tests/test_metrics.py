@@ -34,6 +34,17 @@ def literal_multiclass_mcc(c: np.ndarray) -> float:
     return cov / (math.sqrt(denom_t) * math.sqrt(denom_p))
 
 
+@pytest.mark.parametrize("y_true, y_pred, bad", [
+    ([0, 1, 1], [0, 1, -1], "predicted label -1 "),
+    ([0, 1, 1], [0, 1, 2], "predicted label 2 "),
+    ([0, 5, 1], [0, 1, 1], "true label 5 "),
+    ([-3, 1, 1], [0, 1, 1], "true label -3 "),
+], ids=["pred_negative", "pred_too_large", "true_too_large", "true_negative"])
+def test_out_of_range_label_is_named(y_true, y_pred, bad):
+    with pytest.raises(ContractError, match=bad):
+        ConfusionMatrix.from_predictions(y_true, y_pred, 2)
+
+
 class TestMcc:
     def test_perfect_prediction(self):
         assert ev.mcc(ConfusionMatrix(np.diag([3, 5, 2]))) == 1.0

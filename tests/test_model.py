@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -32,10 +33,10 @@ class TestAdapterForward:
     def test_zero_weights_returns_biases(self):
         cfg = AdapterConfig(input_dim=4, n_views=3, depth=1, out_dim=5)
         adapter = M.AdapterWeights.init(cfg, seed=0)
-        for i, stack in enumerate(adapter.views):
-            w, b = stack[-1]
-            w.data[:] = 0.0
-            b.data[:] = float(i + 1)
+        w, b = adapter.layers[-1]
+        w.data[:] = 0.0
+        for i in range(3):
+            b.data[i] = float(i + 1)
         out = M.adapter_forward(np.ones(4), adapter)
         for i in range(3):
             np.testing.assert_array_equal(out.data[i], np.full(5, i + 1.0))
@@ -45,9 +46,47 @@ class TestAdapterForward:
         adapter = M.AdapterWeights.init(cfg, seed=1)
         x = np.random.default_rng(2).normal(size=6)
         out = M.adapter_forward(x, adapter)
+        w, b = adapter.layers[0]
         for i in range(4):
-            w, b = adapter.views[i][0]
-            np.testing.assert_allclose(out.data[i], x @ w.data + b.data, atol=1e-12)
+            np.testing.assert_allclose(out.data[i], x @ w.data[i] + b.data[i, 0], atol=1e-12)
+
+    def test_init_stacks_per_view_draws(self):
+        cfg = AdapterConfig(input_dim=4, n_views=3, depth=2, hidden_dim=6, out_dim=5)
+        adapter = M.AdapterWeights.init(cfg, seed=8)
+        rng = np.random.default_rng(8)  # one view's layers after another, as drawn
+        want = [[M._glorot(rng, i, o) for i, o in cfg.layer_widths()] for _ in range(3)]
+        assert [(w.shape, b.shape) for w, b in adapter.layers] == [
+            ((3, 4, 6), (3, 1, 6)), ((3, 6, 5), (3, 1, 5))]
+        for j, (w, b) in enumerate(adapter.layers):
+            for i in range(3):
+                assert np.array_equal(w.data[i], want[i][j])
+            assert not b.data.any()
+
+    @pytest.mark.parametrize("rows", [None, 1, 5], ids=["row", "batch_of_one", "batch"])
+    def test_matches_a_loop_over_views_bit_for_bit(self, rows):
+        cfg = AdapterConfig(input_dim=4, n_views=3, depth=2, hidden_dim=6, out_dim=5)
+        adapter = M.AdapterWeights.init(cfg, seed=9)
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(4,) if rows is None else (rows, 4))
+        upstream = Tensor(rng.normal(size=(rows or 1, 3, 5)))
+        # the reference: each view's (w, b) as leaves of its own, run one view at a time
+        views = [[(Tensor(w.data[i].copy(), tracked=True),
+                   Tensor(b.data[i, 0].copy(), tracked=True)) for w, b in adapter.layers]
+                 for i in range(3)]
+        with Tape():
+            got = T.reshape(M.adapter_forward(x, adapter), upstream.shape)
+            loss = T.tsum(T.mul(got, upstream))
+        backward(loss)
+        with Tape():
+            xt = Tensor(x.reshape(-1, 4))
+            want = T.stack([M._run_stack(xt, stack) for stack in views], axis=-2)
+            loss = T.tsum(T.mul(want, upstream))
+        backward(loss)
+        assert np.array_equal(got.data, want.data)
+        for j, (w, b) in enumerate(adapter.layers):
+            for i in range(3):
+                assert np.array_equal(w.grad[i], views[i][j][0].grad)
+                assert np.array_equal(b.grad[i, 0], views[i][j][1].grad)
 
     def test_shape_contract(self):
         cfg = AdapterConfig(input_dim=4, n_views=8, depth=2, out_dim=32)
@@ -60,14 +99,8 @@ class TestAdapterForward:
         adapter = M.AdapterWeights.init(cfg, seed=0)
         with pytest.raises(DimensionError, match="4"):
             M.adapter_forward(np.zeros(5), adapter)
-
-    def test_shared_views_are_identical(self):
-        cfg = AdapterConfig(input_dim=4, n_views=3, depth=2, out_dim=5, shared=True)
-        adapter = M.AdapterWeights.init(cfg, seed=4)
-        assert len(adapter.views) == 1
-        out = M.adapter_forward(np.random.default_rng(5).normal(size=4), adapter)
-        np.testing.assert_array_equal(out.data[0], out.data[1])
-        np.testing.assert_array_equal(out.data[0], out.data[2])
+        with pytest.raises(DimensionError, match=re.escape("(2, 3, 4)")):
+            M.adapter_forward(np.zeros((2, 3, 4)), adapter)
 
 
 class TestAssembleTabularSequence:
@@ -110,10 +143,9 @@ class TestModelForward:
             HeadConfig(in_dim=8, n_classes=3, depth=1),
             bundle=bundle, layer_range=LayerRange(0, 1), use_pos=False,
         )
-        for stack in model.adapter.views:
-            for w, b in stack:
-                w.data[:] = 0.0
-                b.data[:] = 0.0
+        for w, b in model.adapter.layers:
+            w.data[:] = 0.0
+            b.data[:] = 0.0
         w, b = model.head.layers[0]
         w.data[:] = 0.0
         b.data[:] = [1.0, 2.0, 3.0]
@@ -146,8 +178,8 @@ class TestModelForward:
         def gelu(v):
             return v * 0.5 * (1 + erf(v / math.sqrt(2)))
 
-        views = np.stack([x @ w.data + b.data for w, b in
-                          (model.adapter.views[0][0], model.adapter.views[1][0])])
+        aw, ab = model.adapter.layers[0]
+        views = np.stack([x @ aw.data[i] + ab.data[i, 0] for i in range(2)])
         seq = np.concatenate([bundle.cls_token.data, views]) + bundle.pos_embed.data[:3]
         L = bundle.layers[0]
         h = ln(seq, L.ln1_gain.data, L.ln1_bias.data)
@@ -268,7 +300,7 @@ class TestGradientFlow:
         x = np.random.default_rng(28).normal(size=(2, 4))
         labels = [0, 2]
 
-        probe_w = model.adapter.views[1][0][0]  # one adapter weight matrix
+        probe_w = model.adapter.layers[0][0]  # every view's first-layer weight
         probe_h = model.head.layers[0][0]
 
         def loss_fn():
@@ -296,6 +328,25 @@ class TestGradientFlow:
         assert all(p.grad is None for p in model.parameter_groups()["encoder"])
 
 
+class TestTapePerThread:
+    def test_untaped_forward_on_another_thread_records_nothing(self):
+        model = toy_model(seed=40)
+        x = np.random.default_rng(41).normal(size=(2, 4))
+        other = {}
+        with Tape() as tape:
+            loss = T.cross_entropy(M.model_forward(x, model), [0, 2])
+            recorded = len(tape)
+            thread = threading.Thread(target=lambda: other.update(out=M.model_forward(x, model)))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert len(tape) == recorded
+        assert not other["out"].tracked
+        np.testing.assert_array_equal(other["out"].data, M.model_forward(x, model).data)
+        backward(loss)
+        assert all(p.grad is not None for p in model.adapter.parameters())
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_forward(self, tmp_path):
         model = toy_model(seed=29)
@@ -312,8 +363,9 @@ class TestCheckpoint:
         path = tmp_path / "model.weights"
         M.save_checkpoint(model, path)
         tensors, _ = wio.load_tensors(path)
-        assert "adapter.view0.layer0.weight" in tensors
-        assert "adapter.view2.layer1.bias" in tensors
+        assert tensors["adapter.layer0.weight"].shape == (3, 4, CFG.dim)
+        assert tensors["adapter.layer1.bias"].shape == (3, 1, CFG.dim)
+        assert not any(".view" in name for name in tensors)
         assert "head.layer0.weight" in tensors
         assert "head.layer1.bias" in tensors
         assert "layers.0.attn.q.weight" in tensors
@@ -373,7 +425,7 @@ class TestCheckpoint:
         assert enc.config_from_metadata(from_checkpoint) == cfg
         assert enc.config_from_metadata(from_weights) == cfg
 
-    @pytest.mark.parametrize("name, wrong", [("adapter.view0.layer0.weight", (4, 7)),
+    @pytest.mark.parametrize("name, wrong", [("adapter.layer0.weight", (3, 4, 7)),
                                              ("head.layer1.bias", (4,))],
                              ids=["adapter", "head"])
     def test_wrong_adapter_or_head_shape_is_named(self, tmp_path, name, wrong):

@@ -165,8 +165,10 @@ class TestCrossEntropy:
         assert T.cross_entropy(Tensor(logits), [1]).item() < 1e-12
 
     def test_label_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ContractError, match="label 3 "):
             T.cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
+        with pytest.raises(ContractError, match="label -1 "):
+            T.cross_entropy(Tensor(np.zeros((2, 3))), [-1, 0])
 
     def test_loss_and_gradient_match_finite_differences(self):
         rng = np.random.default_rng(4)

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vistab import weights as wio
 from vistab.errors import MissingTensorError, WeightFormatError
@@ -97,7 +99,50 @@ def _hand_built(path, header):
     {"t": {"dtype": "F64", "shape": [2], "data_offsets": [0, 16]},
      "u": {"dtype": "F64", "shape": [2], "data_offsets": [8, 24]}},
     {"__metadata__": ["not", "an", "object"]},
-], ids=["negative_offset", "overlapping_tensors", "metadata_not_object"])
+    {"t": {"dtype": "F64", "shape": [-2, 1], "data_offsets": [16, 0]}},
+    {"t": {"dtype": "F64", "shape": [2**62, 4], "data_offsets": [0, 0]}},
+    {"t": {"dtype": "F64", "shape": [10**30], "data_offsets": [0, 32]}},
+    {"t": {"dtype": "F64", "shape": [2.7], "data_offsets": [0, 16]}},
+    {"t": {"dtype": "F64", "shape": [True, 2], "data_offsets": [0, 16]}},
+], ids=["negative_offset", "overlapping_tensors", "metadata_not_object",
+        "negative_dimension", "int64_overflowing_size", "size_past_any_int",
+        "float_dimension", "bool_dimension"])
 def test_hostile_header_is_rejected(tmp_path, header):
     with pytest.raises(WeightFormatError):
         wio.load_tensors(_hand_built(tmp_path / "hostile", header))
+
+
+def test_integer_too_long_to_parse_is_rejected(tmp_path):
+    hdr = b'{"t":{"data_offsets":[0,8],"dtype":"F64","shape":[' + b"9" * 5000 + b"]}}"
+    path = tmp_path / "long"
+    path.write_bytes(struct.pack("<Q", len(hdr)) + hdr + struct.pack("<d", 1.0))
+    with pytest.raises(WeightFormatError, match="header is not valid JSON"):
+        wio.load_tensors(path)
+
+
+def _valid_container(tmp_path) -> bytes:
+    path = tmp_path / "valid"
+    wio.save_tensors(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(2)},
+                     metadata={"k": "v"})
+    return path.read_bytes()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_damaged_container_loads_or_raises_weight_format_error(tmp_path_factory, data):
+    blob = bytearray(_valid_container(tmp_path_factory.mktemp("w")))
+    # arbitrary bytes, or JSON-like ones that keep a damaged header parseable more often
+    raw_bytes = st.one_of(st.binary(min_size=1, max_size=8),
+                          st.text("0123456789-e.,[]", min_size=1, max_size=8).map(str.encode))
+    edits = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), raw_bytes), max_size=4))
+    for at, raw in edits:
+        raw = raw[:len(blob) - at]
+        blob[at:at + len(raw)] = raw
+    blob = blob[:data.draw(st.integers(0, len(blob)))]
+    path = tmp_path_factory.mktemp("damaged") / "w"
+    path.write_bytes(bytes(blob))
+    try:
+        tensors, _ = wio.load_tensors(path)
+    except WeightFormatError:
+        return
+    assert all(arr.dtype == np.float64 for arr in tensors.values())
