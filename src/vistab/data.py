@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, ContractError, CsvParseError, StateError,
-                     StratificationError)
+                     StratificationError, class_labels)
 
 MISSING_TOKEN = "<missing>"
 
@@ -36,11 +36,9 @@ class TabularDataset:
     def __init__(self, X: np.ndarray, y: np.ndarray, column_kinds: list[str],
                  class_count: int, name: str = "", label_names: list[str] | None = None):
         self._X = np.asarray(X, dtype=object)
-        self._y = np.asarray(y, dtype=np.int64)
+        self._y = class_labels(y, class_count)
         if self._X.ndim != 2 or len(self._X) != len(self._y):
             raise ContractError("feature grid and labels disagree on row count")
-        if self._y.size and (self._y.min() < 0 or self._y.max() >= class_count):
-            raise ContractError(f"labels must lie in [0, {class_count})")
         if len(column_kinds) != self._X.shape[1]:
             raise ContractError("column_kinds length != column count")
         self.column_kinds = list(column_kinds)
@@ -75,15 +73,6 @@ class TabularDataset:
     def class_indices(self) -> dict[int, np.ndarray]:
         y = self.y
         return {c: np.flatnonzero(y == c) for c in range(self.class_count)}
-
-
-def merge(a: TabularDataset, b: TabularDataset) -> TabularDataset:
-    """Concatenate two parts of the same dataset (e.g. train + valid)."""
-    if a.column_kinds != b.column_kinds or a.class_count != b.class_count:
-        raise ContractError("cannot merge datasets with different schemas")
-    return TabularDataset(np.concatenate([a.X, b.X]), np.concatenate([a.y, b.y]),
-                          a.column_kinds, a.class_count, name=a.name,
-                          label_names=a.label_names)
 
 
 def _parse_cell(raw: str, kind: str, row: int, col: int):
@@ -176,7 +165,7 @@ def load_csv(path: str | Path, schema: dict | str | Path,
         grid.append(cells)
 
     vocab = sorted(set(labels_raw))
-    y = np.array([vocab.index(v) for v in labels_raw], dtype=np.int64)
+    y = [vocab.index(v) for v in labels_raw]  # TabularDataset makes them int64 class labels
     X = np.empty((len(grid), len(feature_cols)), dtype=object)
     for i, cells in enumerate(grid):
         X[i, :] = cells
@@ -273,8 +262,6 @@ def oversample(train: TabularDataset, seed: int = 0) -> TabularDataset:
         deficit = majority - counts[c]
         if deficit:
             extra.extend(rng.choice(per_class[c], size=deficit, replace=True))
-    if not extra:
-        return train.take(np.arange(len(train)))
     all_idx = np.concatenate([np.arange(len(train)), np.array(extra, dtype=np.int64)])
     return train.take(all_idx)
 
@@ -301,7 +288,7 @@ class Preprocessor:
     (floored at 1e-8); missing numerics impute the fitted median. Categorical
     columns one-hot against the fitted vocabulary; missing cells use a
     dedicated token when the fitting data had any, and unseen categories map
-    to the all-zero block.
+    to the all-zero block. Fitting needs at least one row.
     """
 
     def __init__(self):
@@ -312,6 +299,8 @@ class Preprocessor:
         self.output_dim = 0
 
     def fit(self, dataset: TabularDataset) -> "Preprocessor":
+        if len(dataset) == 0:
+            raise ContractError("cannot fit a preprocessor on a dataset with no rows")
         self.column_kinds = list(dataset.column_kinds)
         X = dataset.X
         self.numeric_stats.clear()
@@ -319,18 +308,17 @@ class Preprocessor:
         dim = 0
         for j, kind in enumerate(self.column_kinds):
             col = X[:, j]
+            missing = np.equal(col, None)
             if kind == NUMERIC:
-                vals = np.array([v for v in col if v is not None], dtype=np.float64)
-                median = float(np.median(vals)) if vals.size else 0.0
-                filled = np.array([median if v is None else v for v in col],
-                                  dtype=np.float64)
-                mean = float(filled.mean()) if filled.size else 0.0
+                present = col[~missing].astype(np.float64)
+                median = float(np.median(present)) if present.size else 0.0
+                filled = np.where(missing, median, col).astype(np.float64)
                 std = float(filled.std())  # population std
-                self.numeric_stats[j] = (mean, max(std, 1e-8), median)
+                self.numeric_stats[j] = (float(filled.mean()), max(std, 1e-8), median)
                 dim += 1
             else:
-                tokens = sorted({v for v in col if v is not None})
-                if any(v is None for v in col):
+                tokens = sorted(set(col[~missing]))
+                if missing.any():
                     tokens.append(MISSING_TOKEN)
                 self.vocabularies[j] = tokens
                 dim += len(tokens)
@@ -350,21 +338,18 @@ class Preprocessor:
             col = X[:, j]
             if kind == NUMERIC:
                 mean, std, median = self.numeric_stats[j]
-                vals = np.array([median if v is None else v for v in col],
-                                dtype=np.float64)
+                vals = np.where(np.equal(col, None), median, col).astype(np.float64)
                 out[:, offset] = (vals - mean) / std
                 offset += 1
             else:
                 vocab = self.vocabularies[j]
-                index = {tok: i for i, tok in enumerate(vocab)}
-                has_missing = MISSING_TOKEN in index
-                for i, v in enumerate(col):
-                    if v is None:
-                        if has_missing:
-                            out[i, offset + index[MISSING_TOKEN]] = 1.0
-                    elif v in index:
-                        out[i, offset + index[v]] = 1.0
-                    # unseen category: leave the zero block
+                slot = {tok: i for i, tok in enumerate(vocab)}
+                if MISSING_TOKEN in slot:
+                    slot[None] = slot[MISSING_TOKEN]
+                # an unseen category (or a missing cell without a slot) keeps the zero block
+                hot = np.array([slot.get(v, -1) for v in col], dtype=np.int64)
+                rows = np.flatnonzero(hot >= 0)
+                out[rows, offset + hot[rows]] = 1.0
                 offset += len(vocab)
         return out
 

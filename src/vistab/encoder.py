@@ -544,8 +544,13 @@ def save_weights(bundle: EncoderBundle, path: str | Path) -> None:
 
 
 def load_weights(path: str | Path, config: EncoderConfig) -> EncoderBundle:
-    """Load a bundle and validate every shape against `config`."""
-    tensors, _meta = wio.load_tensors(path)
+    """Load a bundle and validate every shape against `config`, and against the file's own
+    ``encoder`` config when it has one (a renamed third-party checkpoint has none)."""
+    tensors, meta = wio.load_tensors(path)
+    if "encoder" in meta and (stored := config_from_metadata(meta)) != config:
+        differ = ", ".join(f"{k} {v!r} in the file, {getattr(config, k)!r} requested"
+                           for k, v in asdict(stored).items() if v != getattr(config, k))
+        raise ConfigError(f"{path}: encoder config differs: {differ}")
     return bundle_from_tensors(tensors, config)
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`class_labels`, the one check
+every class label (a dataset's, a loss target's, a confusion matrix's) goes through."""
+
+import numpy as np
 
 
 class VistabError(Exception):
@@ -53,3 +56,15 @@ class StratificationError(VistabError):
 
 class ConfigError(VistabError):
     """A stored configuration (e.g. checkpoint metadata) is missing, malformed or incomplete."""
+
+
+def class_labels(labels, n_classes: int, what: str = "label") -> np.ndarray:
+    """`labels` as int64; raises :class:`ContractError` naming the first label that is
+    not a whole number in ``[0, n_classes)``, so a float label is never truncated."""
+    raw = np.asarray(labels)
+    if raw.dtype.kind not in "biuf":
+        raise ContractError(f"{what}s must be numbers, got dtype {raw.dtype}")
+    bad = raw[(raw < 0) | (raw >= n_classes) | (raw != np.floor(raw))]
+    if bad.size:
+        raise ContractError(f"{what} {bad[0]} is not a whole number in [0, {n_classes})")
+    return raw.astype(np.int64)

@@ -5,12 +5,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, class_labels
 
 
 @dataclass
@@ -21,14 +21,10 @@ class ConfusionMatrix:
 
     @classmethod
     def from_predictions(cls, y_true, y_pred, n_classes: int) -> "ConfusionMatrix":
-        y_true = np.asarray(y_true, dtype=np.int64)
-        y_pred = np.asarray(y_pred, dtype=np.int64)
+        y_true = class_labels(y_true, n_classes, "true label")
+        y_pred = class_labels(y_pred, n_classes, "predicted label")
         if y_true.shape != y_pred.shape:
             raise ContractError("true/predicted label arrays differ in length")
-        for kind, labels in (("true", y_true), ("predicted", y_pred)):
-            bad = labels[(labels < 0) | (labels >= n_classes)]
-            if bad.size:
-                raise ContractError(f"{kind} label {bad[0]} outside [0, {n_classes})")
         counts = np.zeros((n_classes, n_classes), dtype=np.int64)
         np.add.at(counts, (y_true, y_pred), 1)
         return cls(counts=counts)
@@ -82,24 +78,11 @@ class ScoreTable:
                 f"missing score for ({self.datasets[i]}, {self.methods[j]})")
 
 
-def _tie_averaged_ranks(row: np.ndarray) -> np.ndarray:
-    """Rank 1 = highest score; tied scores share the mean of their positions."""
-    order = np.argsort(-row, kind="stable")
-    ranks = np.empty(len(row), dtype=np.float64)
-    i = 0
-    vals = row[order]
-    while i < len(row):
-        j = i
-        while j + 1 < len(row) and vals[j + 1] == vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def rank_methods(table: ScoreTable) -> dict[str, dict[str, float]]:
-    """Per-method mean rank (ties averaged) and mean score across datasets."""
-    ranks = np.array([_tie_averaged_ranks(row) for row in table.scores])
+    """Per-method mean rank (rank 1 = highest score, ties averaged) and mean score."""
+    from scipy.stats import rankdata  # kept out of module import: it costs ~46 MB resident
+
+    ranks = rankdata(-table.scores, method="average", axis=1)
     mean_rank = ranks.mean(axis=0)
     mean_score = table.scores.mean(axis=0)
     return {
@@ -191,21 +174,14 @@ class ExperimentReport:
         return report
 
 
-_CSV_FIELDS = ["dataset", "method", "seed", "split_id",
-               "mcc", "accuracy", "wall_seconds", "config_hash"]
-
-
 def emit_report(report: ExperimentReport, path: str | Path, format: str = "csv") -> None:
-    """Write the report; `format` is "csv" (one row per run) or "json"."""
+    """Write the report; `format` is "csv" (one row per run, ReportRow's fields) or "json"."""
     path = Path(path)
     if format == "csv":
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_FIELDS)
-            for r in report.rows:
-                writer.writerow([r.dataset, r.method, r.seed, r.split_id,
-                                 repr(r.mcc), repr(r.accuracy),
-                                 repr(r.wall_seconds), r.config_hash])
+            writer = csv.writer(fh)  # it writes a float as its repr
+            writer.writerow(f.name for f in fields(ReportRow))
+            writer.writerows(astuple(r) for r in report.rows)
     elif format == "json":
         path.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     else:

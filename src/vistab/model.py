@@ -32,6 +32,12 @@ POOLS = ("cls", "mean")  # the CLS row, or the mean over the non-CLS rows
 _MODEL_FIELDS = ("use_pos", "pool", "freeze_mode")
 
 
+def _dense_widths(in_dim: int, hidden_dim: int, depth: int, out_dim: int) -> list[tuple[int, int]]:
+    """(in, out) of each layer of a dense stack of `depth` layers, `hidden_dim` wide inside."""
+    dims = [in_dim] + [hidden_dim] * (depth - 1) + [out_dim]
+    return list(zip(dims[:-1], dims[1:]))
+
+
 @dataclass(frozen=True)
 class AdapterConfig:
     input_dim: int
@@ -44,13 +50,9 @@ class AdapterConfig:
         if self.n_views < 1 or self.depth < 1:
             raise ContractError("adapter needs n_views >= 1 and depth >= 1")
 
-    @property
-    def hidden(self) -> int:
-        return self.hidden_dim if self.hidden_dim is not None else self.out_dim
-
     def layer_widths(self) -> list[tuple[int, int]]:
-        dims = [self.input_dim] + [self.hidden] * (self.depth - 1) + [self.out_dim]
-        return list(zip(dims[:-1], dims[1:]))
+        hidden = self.hidden_dim if self.hidden_dim is not None else self.out_dim
+        return _dense_widths(self.input_dim, hidden, self.depth, self.out_dim)
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,7 @@ class HeadConfig:
 
     def layer_widths(self) -> list[tuple[int, int]]:
         hidden = self.hidden_dim if self.hidden_dim is not None else self.in_dim
-        dims = [self.in_dim] + [hidden] * (self.depth - 1) + [self.n_classes]
-        return list(zip(dims[:-1], dims[1:]))
+        return _dense_widths(self.in_dim, hidden, self.depth, self.n_classes)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -77,8 +78,15 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(0.0, scale, (fan_in, fan_out))
 
 
+class _DenseStack:
+    """A stack of dense layers; its `layers` field holds one (weight, bias) pair per layer."""
+
+    def parameters(self) -> list[Tensor]:
+        return [t for w, b in self.layers for t in (w, b)]
+
+
 @dataclass
-class AdapterWeights:
+class AdapterWeights(_DenseStack):
     """Every view's projection, stacked: layer j is one ``(n_views, in, out)`` weight
     and one ``(n_views, 1, out)`` bias (it broadcasts over the batch), checkpointed
     as ``adapter.layer{j}.weight`` and ``adapter.layer{j}.bias``."""
@@ -97,12 +105,9 @@ class AdapterWeights:
              Tensor(np.zeros((config.n_views, 1, o)), tracked=True))
             for ws, (_, o) in zip(zip(*views), widths)])
 
-    def parameters(self) -> list[Tensor]:
-        return [t for w, b in self.layers for t in (w, b)]
-
 
 @dataclass
-class HeadWeights:
+class HeadWeights(_DenseStack):
     config: HeadConfig
     layers: list[tuple[Tensor, Tensor]]
 
@@ -112,9 +117,6 @@ class HeadWeights:
         return cls(config=config, layers=[
             (Tensor(_glorot(rng, i, o), tracked=True), Tensor(np.zeros(o), tracked=True))
             for i, o in config.layer_widths()])
-
-    def parameters(self) -> list[Tensor]:
-        return [t for w, b in self.layers for t in (w, b)]
 
 
 @dataclass
@@ -182,20 +184,14 @@ def _run_stack(x: Tensor, stack) -> Tensor:
 
 
 def adapter_forward(x, adapter: AdapterWeights) -> Tensor:
-    """Project one row (M,) to (n, D), or a batch (B, M) to (B, n, D)."""
+    """Project a batch (B, M) to (B, n, D); only (B, M) is accepted, so a
+    single row goes in as a batch of one (as :func:`model_forward` does)."""
     cfg = adapter.config
     xt = x if isinstance(x, Tensor) else Tensor(x)
-    single = xt.data.ndim == 1
-    if xt.data.ndim > 2 or xt.shape[-1] != cfg.input_dim:
-        raise DimensionError(f"adapter expects (M,) or (B, M) with M = {cfg.input_dim}, "
-                             f"got {xt.shape}")
-    if single:
-        xt = T.reshape(xt, (1, cfg.input_dim))
+    if xt.data.ndim != 2 or xt.shape[-1] != cfg.input_dim:
+        raise DimensionError(f"adapter expects (B, M) with M = {cfg.input_dim}, got {xt.shape}")
     # every view at once: (B, M) @ (n, M, D) broadcasts to (n, B, D), then (B, n, D)
-    out = T.swap_axes(_run_stack(xt, adapter.layers), 0, 1)
-    if single:
-        out = T.reshape(out, (cfg.n_views, cfg.out_dim))
-    return out
+    return T.swap_axes(_run_stack(xt, adapter.layers), 0, 1)
 
 
 # a module attribute of its own, looked up by model_forward at call time

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, DimensionError, TapeError
+from .errors import ContractError, DimensionError, TapeError, class_labels
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -122,6 +122,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `g` over the axes numpy broadcast when producing it from `shape`."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -164,7 +166,7 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes; leading axes must line up."""
+    """Matrix product over the last two axes; leading axes broadcast as in numpy."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul shapes do not chain: {a.shape} x {b.shape}")
@@ -172,20 +174,11 @@ def matmul(a, b) -> Tensor:
 
     def bwd(g):
         if a.tracked:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            _accumulate(a, _reduce_leading(ga, a.shape))
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.tracked:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            _accumulate(b, _reduce_leading(gb, b.shape))
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _record(out, (a, b), bwd)
-
-
-def _reduce_leading(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # a 2-D weight used against a batched operand broadcasts over leading axes
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    return g
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -392,13 +385,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     logits = _as_tensor(logits)
     if logits.data.ndim != 2:
         raise DimensionError(f"cross_entropy expects B x K logits, got {logits.shape}")
-    y = np.asarray(labels, dtype=np.int64)
     b, k = logits.shape
+    y = class_labels(labels, k)
     if y.shape != (b,):
         raise DimensionError(f"expected {b} labels, got shape {y.shape}")
-    bad = y[(y < 0) | (y >= k)]
-    if bad.size:
-        raise ContractError(f"label {bad[0]} outside [0, {k})")
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1)) + logits.data.max(axis=-1)
     out = Tensor(np.mean(lse - logits.data[np.arange(b), y]))

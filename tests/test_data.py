@@ -1,4 +1,5 @@
 import json
+import statistics
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vistab import data as D
-from vistab.errors import ConfigError, CsvParseError
+from vistab.errors import ConfigError, ContractError, CsvParseError
 
 
 @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
@@ -37,6 +38,20 @@ def test_bad_schema_raises_config_error_naming_key(tmp_path, schema, key):
     csv_path.write_text("a,label\n1.0,yes\n2.0,no\n")
     with pytest.raises(ConfigError, match=key):
         D.load_csv(csv_path, schema)
+
+
+@pytest.mark.parametrize("y, bad", [([0.5, 1.7], "label 0.5 "), ([0, 2], "label 2 ")],
+                         ids=["fraction", "out_of_range"])
+def test_dataset_labels_must_be_whole_class_indices(y, bad):
+    with pytest.raises(ContractError, match=bad):
+        D.TabularDataset(np.zeros((2, 1), dtype=object), y, [D.NUMERIC], class_count=2)
+
+
+def test_preprocessor_refuses_to_fit_no_rows():
+    empty = D.TabularDataset(np.empty((0, 2), dtype=object), [], [D.NUMERIC, D.CATEGORICAL],
+                             class_count=2)
+    with pytest.raises(ContractError, match="no rows"):
+        D.Preprocessor().fit(empty)
 
 
 def labelled(counts) -> D.TabularDataset:
@@ -100,3 +115,62 @@ def test_oversample_brings_every_class_to_the_majority(counts, seed):
     assert np.bincount(out.y, minlength=len(counts)).tolist() == [max(counts)] * len(counts)
     assert rows(out)[:len(ds)] == list(range(len(ds)))  # every original row is kept
     assert (out.y == ds.y[rows(out)]).all()
+
+
+def reference_transform(fit_rows, rows, kinds) -> np.ndarray:
+    """The preprocessor's rules, one cell at a time, with statistics of `fit_rows` only."""
+    blocks = []
+    for j, kind in enumerate(kinds):
+        fitted = [r[j] for r in fit_rows]
+        cells = [r[j] for r in rows]
+        if kind == D.NUMERIC:
+            present = [v for v in fitted if v is not None]
+            median = statistics.median(present) if present else 0.0
+            filled = [median if v is None else v for v in fitted]
+            mean = statistics.fmean(filled)
+            std = max(statistics.pstdev(filled), 1e-8)
+            blocks.append([[((median if v is None else v) - mean) / std] for v in cells])
+        else:
+            vocab = sorted({v for v in fitted if v is not None})
+            if None in fitted:
+                vocab.append(D.MISSING_TOKEN)
+            key = [D.MISSING_TOKEN if v is None else v for v in cells]
+            blocks.append([[float(k == tok) for tok in vocab] for k in key])
+    return np.hstack([np.array(b, dtype=np.float64).reshape(len(rows), -1) for b in blocks])
+
+
+# eighths in [-50, 50] are exact in float64, so the reference's sums carry no rounding
+numeric_cells = st.one_of(st.none(), st.integers(-400, 400).map(lambda k: k / 8))
+# the partition that is not fitted may hold categories the fitted one never saw
+fit_categories = st.one_of(st.none(), st.sampled_from("abc"))
+other_categories = st.one_of(st.none(), st.sampled_from("abcde"))
+
+
+@st.composite
+def fitted_and_other_partitions(draw):
+    kinds = draw(st.lists(st.sampled_from([D.NUMERIC, D.CATEGORICAL]), min_size=1, max_size=4))
+
+    def grid(n_rows, categories):
+        cell = {D.NUMERIC: numeric_cells, D.CATEGORICAL: categories}
+        return [[draw(cell[k]) for k in kinds] for _ in range(n_rows)]
+
+    return (kinds, grid(draw(st.integers(1, 12)), fit_categories),
+            grid(draw(st.integers(1, 12)), other_categories))
+
+
+def dataset_of(grid, kinds) -> D.TabularDataset:
+    X = np.empty((len(grid), len(kinds)), dtype=object)
+    X[:, :] = grid
+    return D.TabularDataset(X, np.zeros(len(grid), dtype=np.int64), kinds, class_count=2)
+
+
+@given(fitted_and_other_partitions())
+@settings(max_examples=150, deadline=None)
+def test_preprocessor_statistics_come_from_the_fitted_partition_only(partitions):
+    kinds, fit_grid, other_grid = partitions
+    pre = D.Preprocessor().fit(dataset_of(fit_grid, kinds))
+    for grid in (fit_grid, other_grid):
+        got = pre.transform(dataset_of(grid, kinds))
+        want = reference_transform(fit_grid, grid, kinds)
+        assert got.shape == want.shape == (len(grid), pre.output_dim)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -2,6 +2,7 @@ import bisect
 import gc
 import json
 import math
+import re
 import sys
 import threading
 from dataclasses import asdict
@@ -565,12 +566,31 @@ class TestSaveLoad:
             enc.load_weights(path, TOY)
 
     def test_shape_mismatch_lists_expected_and_found(self, tmp_path):
+        from vistab import weights as wio
         bundle = enc.random_bundle(TOY, seed=18)
         path = tmp_path / "mismatch.weights"
-        enc.save_weights(bundle, path)
+        wio.save_tensors(path, bundle.named_tensors())  # no config of its own to compare
         wrong = EncoderConfig(depth=2, dim=16, heads=2, mlp_ratio=2, max_seq=6)
         with pytest.raises(DimensionError, match=r"expected.*found|\(16"):
             enc.load_weights(path, wrong)
+
+    @pytest.mark.parametrize("wrong, named", [
+        (EncoderConfig(depth=2, dim=8, heads=4, mlp_ratio=2, max_seq=6), "heads 2 in the file, 4"),
+        (EncoderConfig(depth=2, dim=16, heads=2, mlp_ratio=2, max_seq=6, image_hw=(4, 4)),
+         "dim 8 in the file, 16 requested, image_hw (8, 8) in the file, (4, 4)"),
+    ], ids=["shapeless_field", "two_fields"])
+    def test_config_differing_from_the_files_names_the_fields(self, tmp_path, wrong, named):
+        path = tmp_path / "enc.weights"
+        enc.save_weights(enc.random_bundle(TOY, seed=22), path)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            enc.load_weights(path, wrong)
+
+    def test_file_without_config_loads_with_the_given_one(self, tmp_path):
+        from vistab import weights as wio
+        bundle = enc.random_bundle(TOY, seed=23)
+        path = tmp_path / "renamed.weights"
+        wio.save_tensors(path, bundle.named_tensors())
+        assert enc.load_weights(path, TOY).checksum() == bundle.checksum()
 
     def test_truncated_bundle_file(self, tmp_path):
         bundle = enc.random_bundle(TOY, seed=19)

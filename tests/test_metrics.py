@@ -39,7 +39,11 @@ def literal_multiclass_mcc(c: np.ndarray) -> float:
     ([0, 1, 1], [0, 1, 2], "predicted label 2 "),
     ([0, 5, 1], [0, 1, 1], "true label 5 "),
     ([-3, 1, 1], [0, 1, 1], "true label -3 "),
-], ids=["pred_negative", "pred_too_large", "true_too_large", "true_negative"])
+    # a fractional label is refused, not truncated to a class
+    ([0.9, 1.2], [1.99, 0.3], "true label 0.9 "),
+    ([0, 1, 1], [0, 1, 0.3], "predicted label 0.3 "),
+], ids=["pred_negative", "pred_too_large", "true_too_large", "true_negative",
+        "true_fraction", "pred_fraction"])
 def test_out_of_range_label_is_named(y_true, y_pred, bad):
     with pytest.raises(ContractError, match=bad):
         ConfusionMatrix.from_predictions(y_true, y_pred, 2)

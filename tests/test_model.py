@@ -37,18 +37,19 @@ class TestAdapterForward:
         w.data[:] = 0.0
         for i in range(3):
             b.data[i] = float(i + 1)
-        out = M.adapter_forward(np.ones(4), adapter)
+        out = M.adapter_forward(np.ones((1, 4)), adapter)
         for i in range(3):
-            np.testing.assert_array_equal(out.data[i], np.full(5, i + 1.0))
+            np.testing.assert_array_equal(out.data[0, i], np.full(5, i + 1.0))
 
     def test_depth_one_is_a_linear_map(self):
         cfg = AdapterConfig(input_dim=6, n_views=4, depth=1, out_dim=5)
         adapter = M.AdapterWeights.init(cfg, seed=1)
-        x = np.random.default_rng(2).normal(size=6)
+        x = np.random.default_rng(2).normal(size=(1, 6))
         out = M.adapter_forward(x, adapter)
         w, b = adapter.layers[0]
         for i in range(4):
-            np.testing.assert_allclose(out.data[i], x @ w.data[i] + b.data[i, 0], atol=1e-12)
+            np.testing.assert_allclose(out.data[0, i], x[0] @ w.data[i] + b.data[i, 0],
+                                       atol=1e-12)
 
     def test_init_stacks_per_view_draws(self):
         cfg = AdapterConfig(input_dim=4, n_views=3, depth=2, hidden_dim=6, out_dim=5)
@@ -62,23 +63,23 @@ class TestAdapterForward:
                 assert np.array_equal(w.data[i], want[i][j])
             assert not b.data.any()
 
-    @pytest.mark.parametrize("rows", [None, 1, 5], ids=["row", "batch_of_one", "batch"])
+    @pytest.mark.parametrize("rows", [1, 5], ids=["batch_of_one", "batch"])
     def test_matches_a_loop_over_views_bit_for_bit(self, rows):
         cfg = AdapterConfig(input_dim=4, n_views=3, depth=2, hidden_dim=6, out_dim=5)
         adapter = M.AdapterWeights.init(cfg, seed=9)
         rng = np.random.default_rng(10)
-        x = rng.normal(size=(4,) if rows is None else (rows, 4))
-        upstream = Tensor(rng.normal(size=(rows or 1, 3, 5)))
+        x = rng.normal(size=(rows, 4))
+        upstream = Tensor(rng.normal(size=(rows, 3, 5)))
         # the reference: each view's (w, b) as leaves of its own, run one view at a time
         views = [[(Tensor(w.data[i].copy(), tracked=True),
                    Tensor(b.data[i, 0].copy(), tracked=True)) for w, b in adapter.layers]
                  for i in range(3)]
         with Tape():
-            got = T.reshape(M.adapter_forward(x, adapter), upstream.shape)
+            got = M.adapter_forward(x, adapter)
             loss = T.tsum(T.mul(got, upstream))
         backward(loss)
         with Tape():
-            xt = Tensor(x.reshape(-1, 4))
+            xt = Tensor(x)
             want = T.stack([M._run_stack(xt, stack) for stack in views], axis=-2)
             loss = T.tsum(T.mul(want, upstream))
         backward(loss)
@@ -91,14 +92,16 @@ class TestAdapterForward:
     def test_shape_contract(self):
         cfg = AdapterConfig(input_dim=4, n_views=8, depth=2, out_dim=32)
         adapter = M.AdapterWeights.init(cfg, seed=3)
-        assert M.adapter_forward(np.zeros(4), adapter).shape == (8, 32)
+        assert M.adapter_forward(np.zeros((1, 4)), adapter).shape == (1, 8, 32)
         assert M.adapter_forward(np.zeros((7, 4)), adapter).shape == (7, 8, 32)
 
     def test_dimension_mismatch_names_m(self):
         cfg = AdapterConfig(input_dim=4, n_views=2, depth=1, out_dim=5)
         adapter = M.AdapterWeights.init(cfg, seed=0)
         with pytest.raises(DimensionError, match="4"):
-            M.adapter_forward(np.zeros(5), adapter)
+            M.adapter_forward(np.zeros((1, 5)), adapter)
+        with pytest.raises(DimensionError, match=re.escape("(4,)")):  # a row needs a batch axis
+            M.adapter_forward(np.zeros(4), adapter)
         with pytest.raises(DimensionError, match=re.escape("(2, 3, 4)")):
             M.adapter_forward(np.zeros((2, 3, 4)), adapter)
 

@@ -54,6 +54,17 @@ class TestMatmul:
         assert rel_err(got_b, want_b) < 1e-6
 
 
+    def test_gradient_sums_over_a_broadcast_size_one_batch_axis(self):
+        rng = np.random.default_rng(1)
+        a0, b0 = rng.normal(size=(1, 2, 3)), rng.normal(size=(4, 3, 5))
+        got_a = grad_of(lambda a: T.tsum(T.matmul(a, Tensor(b0))), a0)
+        got_b = grad_of(lambda b: T.tsum(T.matmul(Tensor(a0), b)), b0)
+        assert got_a.shape == a0.shape and got_b.shape == b0.shape
+        want_a = finite_diff_grad(lambda a: T.tsum(T.matmul(a, Tensor(b0))), Tensor(a0))
+        want_b = finite_diff_grad(lambda b: T.tsum(T.matmul(Tensor(a0), b)), Tensor(b0))
+        assert rel_err(got_a, want_a) < 1e-6 and rel_err(got_b, want_b) < 1e-6
+
+
 class TestLayerNorm:
     def test_constant_row_maps_to_bias(self):
         out = T.layer_norm(Tensor([5.0, 5.0, 5.0, 5.0]), Tensor(np.ones(4)), Tensor(np.zeros(4)))
@@ -169,6 +180,13 @@ class TestCrossEntropy:
             T.cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
         with pytest.raises(ContractError, match="label -1 "):
             T.cross_entropy(Tensor(np.zeros((2, 3))), [-1, 0])
+        # a fractional label is refused, not truncated to a class
+        with pytest.raises(ContractError, match="label 0.5 "):
+            T.cross_entropy(Tensor(np.zeros((2, 3))), [0.5, 2.9])
+        with pytest.raises(ContractError, match="label 1.999 "):
+            T.cross_entropy(Tensor(np.zeros((2, 3))), [0, 1.999])
+        with pytest.raises(ContractError, match="label nan "):
+            T.cross_entropy(Tensor(np.zeros((2, 3))), [float("nan"), 0])
 
     def test_loss_and_gradient_match_finite_differences(self):
         rng = np.random.default_rng(4)
