@@ -1,5 +1,9 @@
 """Tabular ingestion, preprocessing, splitting, oversampling, few-shot subsets.
 
+A table is one float64 (N, M) grid: a numeric column holds its values, a
+categorical column j each cell's index in ``categories[j]`` (the column's
+names, stripped and sorted), and NaN marks a missing cell of either kind.
+
 The split protocol is fixed at test = 5/20 of the dataset, valid = 1/5 of
 the remainder, train = the rest (so 12/20, 3/20, 5/20 overall), stratified
 by default. Preprocessing statistics always come from the partition the
@@ -24,23 +28,31 @@ import numpy as np
 from .errors import (ConfigError, ContractError, CsvParseError, StateError,
                      StratificationError, class_labels)
 
-MISSING_TOKEN = "<missing>"
-
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
+_MISSING = ("", "?")  # cell texts, after stripping, that mark a missing cell
 
 
 class TabularDataset:
-    """N x M_raw grid of numeric / category cells with integer labels."""
+    """N x M float64 grid of numeric values and category codes, with integer labels."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray, column_kinds: list[str],
-                 class_count: int, name: str = "", label_names: list[str] | None = None):
-        self._X = np.asarray(X, dtype=object)
+                 class_count: int, categories: dict[int, list[str]] | None = None,
+                 name: str = "", label_names: list[str] | None = None):
+        self._X = np.asarray(X, dtype=np.float64)  # an object grid's None becomes NaN
         self._y = class_labels(y, class_count)
         if self._X.ndim != 2 or len(self._X) != len(self._y):
             raise ContractError("feature grid and labels disagree on row count")
         if len(column_kinds) != self._X.shape[1]:
             raise ContractError("column_kinds length != column count")
+        if np.isinf(self._X).any():  # in a categorical column it is no valid code either
+            raise ContractError("feature grid holds an infinite value")
+        categories = categories or {}  # a column without a list can hold missing cells only
+        self.categories = {j: categories.get(j, []) for j, kind in enumerate(column_kinds)
+                           if kind != NUMERIC}
+        for j, names in self.categories.items():
+            col = self._X[:, j]
+            class_labels(col[~np.isnan(col)], len(names), f"column {j} category code")
         self.column_kinds = list(column_kinds)
         self.class_count = class_count
         self.name = name
@@ -60,14 +72,10 @@ class TabularDataset:
     def __len__(self) -> int:
         return len(self._y)
 
-    @property
-    def n_raw_columns(self) -> int:
-        return self._X.shape[1]
-
     def take(self, indices) -> "TabularDataset":
         idx = np.asarray(indices, dtype=np.int64)
         return TabularDataset(self.X[idx], self.y[idx], self.column_kinds,
-                              self.class_count, name=self.name,
+                              self.class_count, self.categories, name=self.name,
                               label_names=self.label_names)
 
     def class_indices(self) -> dict[int, np.ndarray]:
@@ -75,21 +83,19 @@ class TabularDataset:
         return {c: np.flatnonzero(y == c) for c in range(self.class_count)}
 
 
-def _parse_cell(raw: str, kind: str, row: int, col: int):
-    text = raw.strip()
-    if text in ("", "?"):
-        return None
-    if kind == NUMERIC:
-        try:
-            value = float(text)
-        except ValueError:
-            raise CsvParseError(
-                f"row {row}: column {col} expected a number, got {text!r}")
-        if not math.isfinite(value):  # one NaN would turn the column's statistics into NaN
-            raise CsvParseError(
-                f"row {row}: column {col} expected a finite number, got {text!r}")
-        return value
-    return text
+def _number(text: str, row: int, col: int) -> float:
+    text = text.strip()
+    if text in _MISSING:
+        return math.nan
+    try:
+        value = float(text)
+    except ValueError:
+        raise CsvParseError(
+            f"row {row}: column {col} expected a number, got {text!r}")
+    if not math.isfinite(value):  # NaN would read as missing, inf would spoil the statistics
+        raise CsvParseError(
+            f"row {row}: column {col} expected a finite number, got {text!r}")
+    return value
 
 
 def load_csv(path: str | Path, schema: dict | str | Path,
@@ -99,6 +105,8 @@ def load_csv(path: str | Path, schema: dict | str | Path,
     Schema keys: ``label`` (column name, or 0-based index when there is no
     header), ``kinds`` (name -> "numeric"/"categorical" mapping, or a list
     in file order), ``header`` (default true). Cells "" and "?" are missing.
+    The file is parsed a column at a time, so with several bad cells the
+    error names the first bad cell of the leftmost bad column.
     """
     if isinstance(schema, (str, Path)):
         schema = json.loads(Path(schema).read_text())
@@ -139,37 +147,31 @@ def load_csv(path: str | Path, schema: dict | str | Path,
         kinds_by_col = dict(zip(columns, kinds_decl))
     else:
         kinds_by_col = dict(kinds_decl)
-    feature_cols = [c for i, c in enumerate(columns) if i != label_idx]
-    kinds = []
-    for c in feature_cols:
-        kind = kinds_by_col.get(c, CATEGORICAL)
+    feature_idx = [i for i in range(len(columns)) if i != label_idx]
+    kinds = [kinds_by_col.get(columns[i], CATEGORICAL) for i in feature_idx]
+    for i, kind in zip(feature_idx, kinds):
         if kind not in (NUMERIC, CATEGORICAL):
-            raise CsvParseError(f"{path}: column {c!r} has unknown kind {kind!r}")
-        kinds.append(kind)
+            raise CsvParseError(f"{path}: column {columns[i]!r} has unknown kind {kind!r}")
 
-    grid = []
-    labels_raw = []
-    for offset, row in enumerate(body):
-        line = first_row + offset
+    for line, row in enumerate(body, first_row):
         if len(row) != len(columns):
             raise CsvParseError(
                 f"{path}: row {line} has {len(row)} cells, expected {len(columns)}")
-        cells = []
-        feat_i = 0
-        for col_i, raw in enumerate(row):
-            if col_i == label_idx:
-                labels_raw.append(raw.strip())
-            else:
-                cells.append(_parse_cell(raw, kinds[feat_i], line, col_i))
-                feat_i += 1
-        grid.append(cells)
 
-    vocab = sorted(set(labels_raw))
-    y = [vocab.index(v) for v in labels_raw]  # TabularDataset makes them int64 class labels
-    X = np.empty((len(grid), len(feature_cols)), dtype=object)
-    for i, cells in enumerate(grid):
-        X[i, :] = cells
-    return TabularDataset(X, y, kinds, class_count=len(vocab),
+    X = np.empty((len(body), len(feature_idx)), dtype=np.float64)
+    categories = {}
+    for j, (col, kind) in enumerate(zip(feature_idx, kinds)):
+        if kind == NUMERIC:
+            X[:, j] = [_number(row[col], line, col) for line, row in enumerate(body, first_row)]
+        else:
+            cells = [row[col].strip() for row in body]
+            categories[j] = sorted(set(cells).difference(_MISSING))
+            code = {name: i for i, name in enumerate(categories[j])}
+            X[:, j] = [code.get(t, math.nan) for t in cells]
+    labels = [row[label_idx].strip() for row in body]
+    vocab = sorted(set(labels))
+    code = {name: i for i, name in enumerate(vocab)}
+    return TabularDataset(X, [code[t] for t in labels], kinds, len(vocab), categories,
                           name=name or path.stem, label_names=vocab)
 
 
@@ -223,9 +225,6 @@ def split(dataset: TabularDataset,
         valid_idx = order[n_test:n_test + n_valid]
         train_idx = order[n_test + n_valid:]
     else:
-        if n < dataset.class_count:
-            raise StratificationError(
-                f"{n} samples cannot cover {dataset.class_count} classes")
         per_class = dataset.class_indices()
         counts = np.array([len(per_class[c]) for c in range(dataset.class_count)])
         test_alloc = _largest_remainder(counts, n_test)
@@ -241,9 +240,6 @@ def split(dataset: TabularDataset,
                 raise StratificationError(
                     f"class {dataset.label_names[c]!r} has no training samples "
                     f"after the split")
-        train_idx = np.array(train_idx, dtype=np.int64)
-        valid_idx = np.array(valid_idx, dtype=np.int64)
-        test_idx = np.array(test_idx, dtype=np.int64)
 
     return dataset.take(train_idx), dataset.take(valid_idx), dataset.take(test_idx)
 
@@ -268,6 +264,8 @@ def oversample(train: TabularDataset, seed: int = 0) -> TabularDataset:
 
 def nshot_subsample(train: TabularDataset, shots: int, seed: int = 0) -> TabularDataset:
     """Exactly `shots` rows per class, drawn without replacement."""
+    if shots < 1:
+        raise ContractError(f"shots must be at least 1, got {shots}")
     per_class = train.class_indices()
     rng = np.random.default_rng(seed)
     chosen = []
@@ -278,7 +276,7 @@ def nshot_subsample(train: TabularDataset, shots: int, seed: int = 0) -> Tabular
                 f"class {train.label_names[c]!r} has {len(idx)} samples, "
                 f"needs {shots}")
         chosen.extend(rng.choice(idx, size=shots, replace=False))
-    return train.take(np.array(chosen, dtype=np.int64))
+    return train.take(chosen)
 
 
 class Preprocessor:
@@ -286,16 +284,18 @@ class Preprocessor:
 
     Numeric columns standardize with the fitted mean and population std
     (floored at 1e-8); missing numerics impute the fitted median. Categorical
-    columns one-hot against the fitted vocabulary; missing cells use a
-    dedicated token when the fitting data had any, and unseen categories map
-    to the all-zero block. Fitting needs at least one row.
+    columns one-hot against the fitted vocabulary: the names of the categories
+    the fitting rows held, plus a last slot ``None`` for missing cells when they
+    held any. Codes map to slots by name, so a table with its own category
+    list transforms alike; an unseen category (or a missing cell without a
+    slot) keeps the all-zero block. Fitting needs at least one row.
     """
 
     def __init__(self):
         self._fitted = False
         self.column_kinds: list[str] = []
         self.numeric_stats: dict[int, tuple[float, float, float]] = {}  # mean, std, median
-        self.vocabularies: dict[int, list[str]] = {}
+        self.vocabularies: dict[int, list[str | None]] = {}
         self.output_dim = 0
 
     def fit(self, dataset: TabularDataset) -> "Preprocessor":
@@ -308,20 +308,21 @@ class Preprocessor:
         dim = 0
         for j, kind in enumerate(self.column_kinds):
             col = X[:, j]
-            missing = np.equal(col, None)
+            missing = np.isnan(col)
             if kind == NUMERIC:
-                present = col[~missing].astype(np.float64)
+                present = col[~missing]
                 median = float(np.median(present)) if present.size else 0.0
-                filled = np.where(missing, median, col).astype(np.float64)
+                filled = np.where(missing, median, col)
                 std = float(filled.std())  # population std
                 self.numeric_stats[j] = (float(filled.mean()), max(std, 1e-8), median)
                 dim += 1
             else:
-                tokens = sorted(set(col[~missing]))
+                names = dataset.categories[j]
+                vocab = [names[c] for c in np.unique(col[~missing]).astype(np.int64)]
                 if missing.any():
-                    tokens.append(MISSING_TOKEN)
-                self.vocabularies[j] = tokens
-                dim += len(tokens)
+                    vocab.append(None)
+                self.vocabularies[j] = vocab
+                dim += len(vocab)
         self.output_dim = dim
         self._fitted = True
         return self
@@ -338,20 +339,16 @@ class Preprocessor:
             col = X[:, j]
             if kind == NUMERIC:
                 mean, std, median = self.numeric_stats[j]
-                vals = np.where(np.equal(col, None), median, col).astype(np.float64)
-                out[:, offset] = (vals - mean) / std
+                out[:, offset] = (np.where(np.isnan(col), median, col) - mean) / std
                 offset += 1
             else:
                 vocab = self.vocabularies[j]
-                slot = {tok: i for i, tok in enumerate(vocab)}
-                if MISSING_TOKEN in slot:
-                    slot[None] = slot[MISSING_TOKEN]
-                # an unseen category (or a missing cell without a slot) keeps the zero block
-                hot = np.array([slot.get(v, -1) for v in col], dtype=np.int64)
+                slot = {name: i for i, name in enumerate(vocab)}
+                # each of the dataset's categories, then a missing cell, to its slot or -1
+                lookup = np.array([slot.get(name, -1) for name in dataset.categories[j]]
+                                  + [slot.get(None, -1)], dtype=np.int64)
+                hot = lookup[np.where(np.isnan(col), len(lookup) - 1, col).astype(np.int64)]
                 rows = np.flatnonzero(hot >= 0)
                 out[rows, offset + hot[rows]] = 1.0
                 offset += len(vocab)
         return out
-
-    def fit_transform(self, dataset: TabularDataset) -> np.ndarray:
-        return self.fit(dataset).transform(dataset)

@@ -60,16 +60,17 @@ def accuracy(conf: ConfusionMatrix) -> float:
 
 @dataclass
 class ScoreTable:
-    """Datasets x methods score grid (no missing cells)."""
+    """Datasets x methods score grid (no missing cells, at least one of each)."""
 
     datasets: list[str]
     methods: list[str]
     scores: np.ndarray  # shape (len(datasets), len(methods))
-    stds: np.ndarray | None = None
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
         want = (len(self.datasets), len(self.methods))
+        if 0 in want:  # a mean rank over no datasets is NaN
+            raise ContractError(f"score grid needs a dataset and a method, got shape {want}")
         if self.scores.shape != want:
             raise ContractError(f"score grid shape {self.scores.shape} != {want}")
         if np.isnan(self.scores).any():

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import statistics
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vistab import data as D
-from vistab.errors import ConfigError, ContractError, CsvParseError
+from vistab.errors import ConfigError, ContractError, CsvParseError, StratificationError
 
 
 @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
@@ -24,7 +26,7 @@ def test_finite_numeric_cells_parse(tmp_path):
     csv_path = tmp_path / "t.csv"
     csv_path.write_text("a,label\n1e300,yes\n-0.0,no\n?,yes\n")
     ds = D.load_csv(csv_path, {"label": "label", "kinds": {"a": "numeric"}})
-    assert list(ds.X[:, 0]) == [1e300, -0.0, None]
+    np.testing.assert_array_equal(ds.X[:, 0], [1e300, -0.0, np.nan])
 
 
 @pytest.mark.parametrize("schema, key", [
@@ -44,11 +46,40 @@ def test_bad_schema_raises_config_error_naming_key(tmp_path, schema, key):
                          ids=["fraction", "out_of_range"])
 def test_dataset_labels_must_be_whole_class_indices(y, bad):
     with pytest.raises(ContractError, match=bad):
-        D.TabularDataset(np.zeros((2, 1), dtype=object), y, [D.NUMERIC], class_count=2)
+        D.TabularDataset(np.zeros((2, 1)), y, [D.NUMERIC], class_count=2)
+
+
+@pytest.mark.parametrize("code", [0.5, -1.0, 2.0], ids=["fraction", "negative", "out_of_range"])
+def test_category_codes_must_index_the_column_categories(code):
+    with pytest.raises(ContractError, match=f"column 0 category code {code} "):
+        D.TabularDataset(np.array([[0.0], [code]]), [0, 1], [D.CATEGORICAL], class_count=2,
+                         categories={0: ["a", "b"]})
+
+
+def test_categorical_column_without_a_category_list_holds_missing_cells_only():
+    kinds = [D.NUMERIC, D.CATEGORICAL]
+    with pytest.raises(ContractError, match=r"column 1 category code 0.0 .*\[0, 0\)"):
+        D.TabularDataset(np.zeros((2, 2)), [0, 1], kinds, class_count=2)
+    ds = D.TabularDataset([[0.0, np.nan], [1.0, np.nan]], [0, 1], kinds, class_count=2)
+    assert ds.categories == {1: []}
+    np.testing.assert_array_equal(D.Preprocessor().fit(ds).transform(ds), [[-1, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_numeric_column_refuses_an_infinite_value(value):
+    with pytest.raises(ContractError, match="holds an infinite value"):
+        D.TabularDataset(np.array([[1.0], [value]]), [0, 1], [D.NUMERIC], class_count=2)
+
+
+def test_object_grid_converts_none_to_nan():
+    ds = D.TabularDataset(np.array([[1.5], [None]], dtype=object), [0, 1], [D.NUMERIC],
+                          class_count=2)
+    assert ds.X.dtype == np.float64
+    np.testing.assert_array_equal(ds.X[:, 0], [1.5, np.nan])
 
 
 def test_preprocessor_refuses_to_fit_no_rows():
-    empty = D.TabularDataset(np.empty((0, 2), dtype=object), [], [D.NUMERIC, D.CATEGORICAL],
+    empty = D.TabularDataset(np.empty((0, 2)), [], [D.NUMERIC, D.CATEGORICAL],
                              class_count=2)
     with pytest.raises(ContractError, match="no rows"):
         D.Preprocessor().fit(empty)
@@ -57,12 +88,12 @@ def test_preprocessor_refuses_to_fit_no_rows():
 def labelled(counts) -> D.TabularDataset:
     """Rows grouped by class, `counts[c]` of class c; column 0 holds the row's index."""
     y = np.repeat(np.arange(len(counts)), counts)
-    return D.TabularDataset(np.arange(len(y), dtype=object).reshape(-1, 1), y,
+    return D.TabularDataset(np.arange(len(y), dtype=np.float64).reshape(-1, 1), y,
                             [D.NUMERIC], class_count=len(counts))
 
 
 def rows(part: D.TabularDataset) -> list[int]:
-    return list(part.X[:, 0])
+    return part.X[:, 0].astype(np.int64).tolist()
 
 
 class_counts = st.lists(st.integers(4, 60), min_size=2, max_size=6)
@@ -78,6 +109,13 @@ def test_split_is_disjoint_exhaustive_and_protocol_sized(counts, stratified, see
     assert sorted(taken) == list(range(len(ds)))
     for p in parts:  # each row keeps its own label
         assert (p.y == ds.y[rows(p)]).all()
+
+
+@pytest.mark.parametrize("counts", [[0, 5, 5], [1, 0]],
+                         ids=["empty_class", "fewer_rows_than_classes"])
+def test_stratified_split_refuses_a_class_without_training_rows(counts):
+    with pytest.raises(StratificationError, match="class '[01]' has no training samples"):
+        D.split(labelled(counts), D.SplitSpec(seed=0))
 
 
 @given(class_counts, st.integers(0, 2**32 - 1))
@@ -107,6 +145,12 @@ def test_nshot_subsample_takes_exactly_shots_per_class(counts, shots, seed):
     assert (sub.y == ds.y[rows(sub)]).all()
 
 
+@pytest.mark.parametrize("shots", [0, -1])
+def test_nshot_subsample_needs_at_least_one_shot(shots):
+    with pytest.raises(ContractError, match=f"at least 1, got {shots}"):
+        D.nshot_subsample(labelled([4, 4]), shots)
+
+
 @given(st.lists(st.integers(1, 60), min_size=2, max_size=6), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_oversample_brings_every_class_to_the_majority(counts, seed):
@@ -118,7 +162,8 @@ def test_oversample_brings_every_class_to_the_majority(counts, seed):
 
 
 def reference_transform(fit_rows, rows, kinds) -> np.ndarray:
-    """The preprocessor's rules, one cell at a time, with statistics of `fit_rows` only."""
+    """The preprocessor's rules, one cell at a time, with statistics of `fit_rows` only.
+    A cell is a number or a category name, and None when it is missing."""
     blocks = []
     for j, kind in enumerate(kinds):
         fitted = [r[j] for r in fit_rows]
@@ -133,17 +178,17 @@ def reference_transform(fit_rows, rows, kinds) -> np.ndarray:
         else:
             vocab = sorted({v for v in fitted if v is not None})
             if None in fitted:
-                vocab.append(D.MISSING_TOKEN)
-            key = [D.MISSING_TOKEN if v is None else v for v in cells]
-            blocks.append([[float(k == tok) for tok in vocab] for k in key])
+                vocab.append(None)  # the missing-cell slot
+            blocks.append([[float(v == tok) for tok in vocab] for v in cells])
     return np.hstack([np.array(b, dtype=np.float64).reshape(len(rows), -1) for b in blocks])
 
 
 # eighths in [-50, 50] are exact in float64, so the reference's sums carry no rounding
 numeric_cells = st.one_of(st.none(), st.integers(-400, 400).map(lambda k: k / 8))
-# the partition that is not fitted may hold categories the fitted one never saw
-fit_categories = st.one_of(st.none(), st.sampled_from("abc"))
-other_categories = st.one_of(st.none(), st.sampled_from("abcde"))
+# the partition that is not fitted may hold categories the fitted one never saw; the text
+# "<missing>" is an ordinary category
+fit_categories = st.one_of(st.none(), st.sampled_from(["a", "b", "c", "<missing>"]))
+other_categories = st.one_of(st.none(), st.sampled_from(["a", "b", "c", "d", "e", "<missing>"]))
 
 
 @st.composite
@@ -159,9 +204,18 @@ def fitted_and_other_partitions(draw):
 
 
 def dataset_of(grid, kinds) -> D.TabularDataset:
-    X = np.empty((len(grid), len(kinds)), dtype=object)
-    X[:, :] = grid
-    return D.TabularDataset(X, np.zeros(len(grid), dtype=np.int64), kinds, class_count=2)
+    """Each categorical column coded against its own sorted names, so two grids disagree on
+    which code is which category."""
+    X = np.empty((len(grid), len(kinds)))
+    categories = {}
+    for j, kind in enumerate(kinds):
+        cells = [r[j] for r in grid]
+        if kind == D.CATEGORICAL:
+            categories[j] = sorted({v for v in cells if v is not None})
+            cells = [None if v is None else categories[j].index(v) for v in cells]
+        X[:, j] = [math.nan if v is None else v for v in cells]
+    return D.TabularDataset(X, np.zeros(len(grid), dtype=np.int64), kinds, class_count=2,
+                            categories=categories)
 
 
 @given(fitted_and_other_partitions())
@@ -174,3 +228,66 @@ def test_preprocessor_statistics_come_from_the_fitted_partition_only(partitions)
         want = reference_transform(fit_grid, grid, kinds)
         assert got.shape == want.shape == (len(grid), pre.output_dim)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_literal_missing_text_is_a_category_of_its_own(tmp_path):
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text("c,label\n<missing>,x\n,y\na,x\n")
+    ds = D.load_csv(csv_path, {"label": "label", "kinds": {"c": "categorical"}})
+    pre = D.Preprocessor().fit(ds)
+    assert pre.output_dim == 3
+    np.testing.assert_array_equal(pre.transform(ds), [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+
+
+def padded(texts):
+    return st.tuples(st.sampled_from(["", " ", "  "]), texts, st.sampled_from(["", " "])).map(
+        "".join)
+
+
+number_texts = padded(st.one_of(st.sampled_from(["", "?"]),
+                                st.integers(-400, 400).map(lambda k: repr(k / 8))))
+category_texts = padded(st.sampled_from(["", "?", "a", "b", "x y", "<missing>"]))
+label_texts = padded(st.sampled_from(["yes", "no", "<missing>"]))
+
+
+@st.composite
+def csv_tables(draw):
+    """Column kinds, the label's file column and the text rows of a CSV body."""
+    kinds = draw(st.lists(st.sampled_from([D.NUMERIC, D.CATEGORICAL]), min_size=1, max_size=4))
+    label_at = draw(st.integers(0, len(kinds)))
+    text = {D.NUMERIC: number_texts, D.CATEGORICAL: category_texts}
+    body = []
+    for _ in range(draw(st.integers(1, 10))):
+        row = [draw(text[k]) for k in kinds]
+        row.insert(label_at, draw(label_texts))
+        body.append(row)
+    return kinds, label_at, body
+
+
+@given(csv_tables())
+@settings(max_examples=100, deadline=None)
+def test_load_csv_reads_each_cell_like_a_per_cell_reference(tmp_path_factory, table):
+    kinds, label_at, body = table
+    columns = [f"c{i}" for i in range(len(kinds) + 1)]
+    csv_path = tmp_path_factory.mktemp("load") / "t.csv"
+    with csv_path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([columns] + body)
+    features = [c for i, c in enumerate(columns) if i != label_at]
+    ds = D.load_csv(csv_path, {"label": columns[label_at], "kinds": dict(zip(features, kinds))})
+
+    want_X = np.empty((len(body), len(kinds)))
+    want_categories = {}
+    for j, kind in enumerate(kinds):
+        cells = [[t for i, t in enumerate(row) if i != label_at][j].strip() for row in body]
+        if kind == D.NUMERIC:
+            want_X[:, j] = [math.nan if t in ("", "?") else float(t) for t in cells]
+        else:
+            names = sorted({t for t in cells if t not in ("", "?")})
+            want_categories[j] = names
+            want_X[:, j] = [names.index(t) if t in names else math.nan for t in cells]
+    labels = [row[label_at].strip() for row in body]
+    np.testing.assert_array_equal(ds.X, want_X)
+    assert ds.categories == want_categories
+    assert ds.column_kinds == kinds
+    assert ds.label_names == sorted(set(labels))
+    assert ds.y.tolist() == [ds.label_names.index(t) for t in labels]

@@ -138,6 +138,12 @@ class TestRankMethods:
             ScoreTable(["d1", "d2"], ["A", "B"],
                        np.array([[1.0, 2.0], [3.0, np.nan]]))
 
+    @pytest.mark.parametrize("datasets, methods", [([], ["A", "B"]), (["d"], [])],
+                             ids=["no_datasets", "no_methods"])
+    def test_empty_table_refused(self, datasets, methods):
+        with pytest.raises(ContractError, match="needs a dataset and a method"):
+            ScoreTable(datasets, methods, np.zeros((len(datasets), len(methods))))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_monotone_transform_invariance(self, seed):
