@@ -13,6 +13,14 @@ are the one list of canonical names, e.g.
 each with its shape and init, so third-party checkpoints can be converted
 by renaming alone.
 
+Images and tabular rows reach the encoder in one layout, a leading batch
+axis and only that: :func:`patch_embed` takes ``(B, H, W, C)`` images and
+returns ``(B, n, D)`` patch tokens, the tabular adapter returns view
+tokens of that same shape, :func:`assemble_sequence` prepends CLS to make
+``(B, n + 1, D)``, and :func:`encoder_forward` runs on ``(B, S, D)``. A
+single example is a batch of one; any other rank raises
+:class:`~vistab.errors.DimensionError`.
+
 Each block runs in plain numpy on 2-D ``(rows, D)`` arrays and records one
 op on the tape (:func:`vistab.tensor.custom`), with a hand-written backward
 that skips the gradients of untracked weights, so a frozen slice costs
@@ -78,7 +86,6 @@ class EncoderConfig:
     max_seq: int = 2
     patch: int = 4
     channels: int = 1
-    image_hw: tuple[int, int] = (8, 8)
 
     def __post_init__(self):
         if self.dim % self.heads != 0:
@@ -213,34 +220,31 @@ def _build(config: EncoderConfig, with_patch: bool, make) -> EncoderBundle:
 
 def random_bundle(config: EncoderConfig, seed: int = 0, scale: float = 0.02,
                   with_patch: bool = False) -> EncoderBundle:
-    """Fresh bundle with normal(0, scale) weights, unit LayerNorm gains."""
+    """Fresh bundle with normal(0, scale) weights, unit LayerNorm gains.
+
+    ``scale=0.0`` zeroes CLS and ``pos_embed`` too, and makes every block a
+    residual identity.
+    """
     rng = np.random.default_rng(seed)
     draw = {"normal": lambda shape: rng.normal(0.0, scale, shape),
             "zeros": np.zeros, "ones": np.ones}
     return _build(config, with_patch, lambda name, shape, init: draw[init](shape))
 
 
-def zero_bundle(config: EncoderConfig) -> EncoderBundle:
-    """All attention/MLP weights zero: the encoder becomes a residual identity."""
-    b = random_bundle(config, seed=0, scale=0.0)
-    b.pos_embed = Tensor(np.zeros((config.max_seq, config.dim)))
-    b.cls_token = Tensor(np.zeros((1, config.dim)))
-    return b
+def patch_embed(images, bundle: EncoderBundle) -> Tensor:
+    """Split a batch of H x W x C images into P x P patches and project each to D.
 
-
-def patch_embed(image, bundle: EncoderBundle) -> Tensor:
-    """Split an H x W x C image into P x P patches and project each to D.
-
-    The image is input data (an array or a Tensor; no gradient flows back
-    to it); its patches are :func:`flatten_patches` rows.
+    Batch only: (B, H, W, C) -> (B, n, D). The images are input data (an
+    array or a Tensor; no gradient flows back to them); their patches are
+    :func:`flatten_patches` rows.
     """
     if bundle.patch_proj is None:
         raise ContractError("bundle has no patch projection weights")
     cfg = bundle.config
-    img = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
-    if img.ndim != 3:
-        raise DimensionError(f"expected H x W x C image, got shape {img.shape}")
-    h, w, c = img.shape
+    img = images.data if isinstance(images, Tensor) else np.asarray(images, dtype=np.float64)
+    if img.ndim != 4:
+        raise DimensionError(f"expected a (B, H, W, C) batch of images, got shape {img.shape}")
+    _, h, w, c = img.shape
     p = cfg.patch
     if h % p or w % p:
         raise DimensionError(f"image {h}x{w} not divisible into {p}x{p} patches")
@@ -252,34 +256,33 @@ def patch_embed(image, bundle: EncoderBundle) -> Tensor:
     return tokens
 
 
-def flatten_patches(image: np.ndarray, p: int) -> np.ndarray:
-    """(H, W, C) -> (n, P*P*C) rows, patch grid walked row-major.
+def flatten_patches(images: np.ndarray, p: int) -> np.ndarray:
+    """Batch only: (B, H, W, C) -> (B, n, P*P*C), each image's patch grid walked row-major.
 
     Each patch flattens in row-major (row, column, channel) order.
     """
-    h, w, c = image.shape
+    b, h, w, c = images.shape
     gh, gw = h // p, w // p
-    r = image.reshape(gh, p, gw, p, c)
-    return np.ascontiguousarray(r.transpose(0, 2, 1, 3, 4)).reshape(gh * gw, p * p * c)
+    r = images.reshape(b, gh, p, gw, p, c)
+    return np.ascontiguousarray(r.transpose(0, 1, 3, 2, 4, 5)).reshape(b, gh * gw, p * p * c)
 
 
 def assemble_sequence(tokens: Tensor, bundle: EncoderBundle, use_pos: bool = True) -> Tensor:
-    """[CLS, t_1..t_n] for (n, D) or (B, n, D) tokens (patches or tabular views).
+    """[CLS, t_1..t_n] for each of a batch of (patch or tabular view) tokens.
 
-    With ``use_pos`` the first n + 1 rows of the positional table are added
-    (a truncation of the pre-trained table).
+    Batch only: (B, n, D) -> (B, n + 1, D). With ``use_pos`` the first n + 1
+    rows of the positional table are added (a truncation of the pre-trained
+    table).
     """
-    n = tokens.shape[-2]
     cfg = bundle.config
+    if tokens.data.ndim != 3 or tokens.shape[2] != cfg.dim:
+        raise DimensionError(f"expected (B, n, {cfg.dim}) tokens, got shape {tokens.shape}")
+    b, n = tokens.shape[:2]
     if n + 1 > cfg.max_seq:
         raise CapacityError(f"{n} tokens + CLS exceeds max_seq {cfg.max_seq}")
     if n < 1:
         raise CapacityError("need at least one token besides CLS")
-    if tokens.data.ndim == 3:
-        cls = T.expand_leading(bundle.cls_token, tokens.shape[0])
-        seq = T.concat([cls, tokens], axis=1)
-    else:
-        seq = T.concat([bundle.cls_token, tokens], axis=0)
+    seq = T.concat([T.expand_leading(bundle.cls_token, b), tokens], axis=1)
     if use_pos:
         pos = bundle.pos_embed
         if pos.shape[0] != n + 1:
@@ -417,10 +420,8 @@ def _block(x: Tensor, layer: EncoderLayer, cfg: EncoderConfig) -> Tensor:
     a pool buffer, leased as the module docstring describes.
     """
     L = layer
-    shape = x.shape
-    s, d, heads, dh = shape[-2], cfg.dim, cfg.heads, cfg.head_dim
-    b = x.size // (s * d)
-    rows, hidden = b * s, cfg.mlp_hidden
+    b, s, d = x.shape
+    heads, dh, rows, hidden = cfg.heads, cfg.head_dim, b * s, cfg.mlp_hidden
     scale = 1.0 / math.sqrt(dh)
 
     def split(t):  # (b*s, d) -> (b, heads, s, dh), a view
@@ -514,21 +515,22 @@ def _block(x: Tensor, layer: EncoderLayer, cfg: EncoderConfig) -> Tensor:
         gx += gx1
         _POOL.give(tmp)
         # the order of (x, *L.tensors())
-        return (gx.reshape(shape), gg1, gbb1, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
+        return (gx.reshape(b, s, d), gg1, gbb1, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
                 gg2, gbb2, gw1, gb1, gw2, gb2)
 
     weakref.finalize(vjp, _POOL.give, keep)
-    return T.custom(out.reshape(shape), (x, *L.tensors()), vjp)
+    return T.custom(out.reshape(b, s, d), (x, *L.tensors()), vjp)
 
 
 def encoder_forward(t0: Tensor, bundle: EncoderBundle, layer_range: LayerRange) -> Tensor:
-    """Apply layers start..end-1; the final norm fires only when end == depth."""
+    """Apply layers start..end-1 to a (B, S, D) batch of sequences; the final norm
+    fires only when end == depth."""
     cfg = bundle.config
     layer_range.validate(cfg.depth)
-    if t0.shape[-1] != cfg.dim:
-        raise DimensionError(f"token width {t0.shape[-1]} != encoder dim {cfg.dim}")
-    if t0.shape[-2] > cfg.max_seq:
-        raise CapacityError(f"sequence length {t0.shape[-2]} exceeds max_seq {cfg.max_seq}")
+    if t0.data.ndim != 3 or t0.shape[2] != cfg.dim:
+        raise DimensionError(f"expected (B, S, {cfg.dim}) sequences, got shape {t0.shape}")
+    if t0.shape[1] > cfg.max_seq:
+        raise CapacityError(f"sequence length {t0.shape[1]} exceeds max_seq {cfg.max_seq}")
     x = t0
     for i in range(layer_range.start, layer_range.end):
         x = _block(x, bundle.layers[i], cfg)
@@ -572,22 +574,17 @@ def bundle_from_tensors(tensors: dict[str, np.ndarray],
 def _fits(value, hint) -> bool:
     """Whether a JSON-read value is of the evaluated annotation `hint`.
 
-    Exact types, so ``True`` is no ``int``; ``X | None`` admits None and a
-    ``tuple[...]`` needs one element of each listed type.
+    Exact types, so ``True`` is no ``int``; ``X | None`` admits None.
     """
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, tuple) and len(value) == len(args) and all(map(_fits, value, args))
-    if args:  # a union
-        return any(_fits(value, a) for a in args)
-    return type(value) is hint
+    args = typing.get_args(hint)  # a union's members
+    return any(_fits(value, a) for a in args) if args else type(value) is hint
 
 
 def read_metadata(meta: dict[str, str], key: str, cls,
                   names: Iterable[str] | None = None) -> dict:
     """The JSON object under ``meta[key]``: exactly the fields `names` of dataclass `cls`.
 
-    `names` defaults to all of its fields. JSON lists come back as tuples.
+    `names` defaults to all of its fields.
     Raises :class:`ConfigError` naming the key when the value is missing,
     is not a JSON object, has unknown or missing fields, or holds a value
     that is not of its field's annotated type (then naming the field too).
@@ -605,7 +602,6 @@ def read_metadata(meta: dict[str, str], key: str, cls,
     if value.keys() != names:
         raise ConfigError(f"metadata {key!r}: unknown fields {sorted(value.keys() - names)}, "
                           f"missing fields {sorted(names - value.keys())}")
-    value = {k: tuple(v) if isinstance(v, list) else v for k, v in value.items()}
     hints = typing.get_type_hints(cls)
     for name in sorted(names):
         if not _fits(value[name], hints[name]):

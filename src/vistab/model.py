@@ -184,8 +184,8 @@ def _run_stack(x: Tensor, stack) -> Tensor:
 
 
 def adapter_forward(x, adapter: AdapterWeights) -> Tensor:
-    """Project a batch (B, M) to (B, n, D); only (B, M) is accepted, so a
-    single row goes in as a batch of one (as :func:`model_forward` does)."""
+    """Project a batch (B, M) to (B, n, D). Batch only: a single row goes in
+    as a batch of one."""
     cfg = adapter.config
     xt = x if isinstance(x, Tensor) else Tensor(x)
     if xt.data.ndim != 2 or xt.shape[-1] != cfg.input_dim:
@@ -199,12 +199,9 @@ assemble_tabular_sequence = enc.assemble_sequence
 
 
 def model_forward(x, model: VisTabNet) -> Tensor:
-    """Logits for one row (M,) -> (K,), or a batch (B, M) -> (B, K)."""
-    xt = x if isinstance(x, Tensor) else Tensor(x)
-    single = xt.data.ndim == 1
-    if single:
-        xt = T.reshape(xt, (1,) + xt.shape)
-    views = adapter_forward(xt, model.adapter)  # (B, n, D)
+    """Logits for a batch (B, M) -> (B, K). Batch only: a single row goes in as
+    a batch of one, and any other rank raises :class:`DimensionError`."""
+    views = adapter_forward(x, model.adapter)  # (B, n, D)
     if model.encoder is None:
         rep = T.tmean(views, axis=-2)
     else:
@@ -214,10 +211,7 @@ def model_forward(x, model: VisTabNet) -> Tensor:
             rep = T.tmean(T.narrow(out, -2, 1, views.shape[-2]), axis=-2)
         else:
             rep = T.take(out, 0, axis=-2)
-    logits = _run_stack(rep, model.head.layers)
-    if single:
-        logits = T.reshape(logits, (model.head.config.n_classes,))
-    return logits
+    return _run_stack(rep, model.head.layers)
 
 
 def set_freeze_mode(model: VisTabNet, mode: str) -> VisTabNet:

@@ -51,10 +51,7 @@ class Tensor:
 
     def __init__(self, data, tracked: bool = False):
         # asarray with order="C" keeps 0-d scalars 0-d (ascontiguousarray would not)
-        arr = np.asarray(data, dtype=np.float64, order="C")
-        if not arr.flags.c_contiguous:
-            arr = np.array(arr, dtype=np.float64, order="C")
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.tracked = tracked
         self.grad: np.ndarray | None = None
         self._tape: Tape | None = None

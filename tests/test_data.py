@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import statistics
 
 import numpy as np
@@ -76,6 +77,17 @@ def test_object_grid_converts_none_to_nan():
                           class_count=2)
     assert ds.X.dtype == np.float64
     np.testing.assert_array_equal(ds.X[:, 0], [1.5, np.nan])
+
+
+@pytest.mark.parametrize("grid, cell", [
+    ([["a"], [None]], "cell (0, 0) holds text 'a'"),
+    (np.array([["1.5"], ["2"]]), "cell (0, 0) holds text '1.5'"),
+    (np.array([[2.0], ["1.5"]], dtype=object), "cell (1, 0) holds text '1.5'"),
+], ids=["text_beside_none", "str_array", "text_in_object_grid"])
+def test_grid_holding_text_is_refused_naming_the_cell(grid, cell):
+    # a grid of numbers and None still converts: test_object_grid_converts_none_to_nan
+    with pytest.raises(ContractError, match=re.escape(cell)):
+        D.TabularDataset(grid, [0, 1], [D.NUMERIC], class_count=2)
 
 
 def test_preprocessor_refuses_to_fit_no_rows():

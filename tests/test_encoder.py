@@ -54,8 +54,8 @@ def reference_block(x, L, heads):
 
 class TestEncoderForward:
     def test_zero_weights_residual_identity(self):
-        bundle = enc.zero_bundle(TOY)
-        t0 = Tensor(np.random.default_rng(0).normal(size=(3, 8)))
+        bundle = enc.random_bundle(TOY, scale=0.0)
+        t0 = Tensor(np.random.default_rng(0).normal(size=(2, 3, 8)))
         out = enc.encoder_forward(t0, bundle, LayerRange(0, 1))
         assert (out.data == t0.data).all()
 
@@ -70,10 +70,10 @@ class TestEncoderForward:
             layer.bq.data[:] = rng.normal(size=4)
             layer.bo.data[:] = rng.normal(size=4)
         bundle.final_gain.data[:] = rng.normal(1, 0.3, 4)
-        t0 = rng.normal(size=(2, 4))
+        t0 = rng.normal(size=(3, 2, 4))
 
         got = enc.encoder_forward(Tensor(t0), bundle, LayerRange(0, 1)).data
-        want = reference_block(t0, bundle.layers[0], cfg.heads)
+        want = np.stack([reference_block(seq, bundle.layers[0], cfg.heads) for seq in t0])
         # final norm fires because end == depth
         mu = want.mean(axis=-1, keepdims=True)
         var = ((want - mu) ** 2).mean(axis=-1, keepdims=True)
@@ -83,7 +83,7 @@ class TestEncoderForward:
     def test_slice_composition(self):
         bundle = enc.random_bundle(EncoderConfig(depth=4, dim=8, heads=2, max_seq=5),
                                    seed=5, scale=0.3)
-        t0 = Tensor(np.random.default_rng(6).normal(size=(4, 8)))
+        t0 = Tensor(np.random.default_rng(6).normal(size=(2, 4, 8)))
         whole = enc.encoder_forward(t0, bundle, LayerRange(0, 3))
         half = enc.encoder_forward(t0, bundle, LayerRange(0, 2))
         rest = enc.encoder_forward(half, bundle, LayerRange(2, 3))
@@ -92,13 +92,13 @@ class TestEncoderForward:
     def test_output_shape_equals_input_shape(self):
         bundle = enc.random_bundle(TOY, seed=7)
         for rng_pair in [(0, 1), (1, 2), (0, 2)]:
-            t0 = Tensor(np.random.default_rng(8).normal(size=(5, 8)))
+            t0 = Tensor(np.random.default_rng(8).normal(size=(2, 5, 8)))
             out = enc.encoder_forward(t0, bundle, LayerRange(*rng_pair))
             assert out.shape == t0.shape
 
     def test_invalid_range(self):
         bundle = enc.random_bundle(TOY, seed=0)
-        t0 = Tensor(np.zeros((2, 8)))
+        t0 = Tensor(np.zeros((1, 2, 8)))
         for bad in [(1, 1), (-1, 2), (0, 3)]:
             with pytest.raises(ContractError):
                 enc.encoder_forward(t0, bundle, LayerRange(*bad))
@@ -109,15 +109,15 @@ class TestEncoderForward:
         batch = rng.normal(size=(3, 4, 8))
         full = enc.encoder_forward(Tensor(batch), bundle, LayerRange(0, 2)).data
         for i in range(3):
-            one = enc.encoder_forward(Tensor(batch[i]), bundle, LayerRange(0, 2)).data
-            np.testing.assert_allclose(full[i], one, atol=1e-12)
+            one = enc.encoder_forward(Tensor(batch[i:i + 1]), bundle, LayerRange(0, 2)).data
+            np.testing.assert_allclose(full[i:i + 1], one, atol=1e-12)
 
     def test_input_gradients_through_frozen_encoder(self):
         bundle = enc.random_bundle(TOY, seed=11, scale=0.3)
         bundle.set_tracked(False)
         rng = np.random.default_rng(12)
-        t0 = rng.normal(size=(3, 8))
-        mask = Tensor(rng.normal(size=(3, 8)))
+        t0 = rng.normal(size=(2, 3, 8))
+        mask = Tensor(rng.normal(size=(2, 3, 8)))
 
         def f(x):
             return T.tsum(T.mul(enc.encoder_forward(x, bundle, LayerRange(0, 2)), mask))
@@ -186,7 +186,7 @@ def taped_grads(forward, t0, mask, bundle):
 class TestFusedBlock:
     CFG = EncoderConfig(depth=3, dim=12, heads=3, mlp_ratio=2, max_seq=6)
 
-    @pytest.mark.parametrize("shape", [(3, 5, 12), (5, 12)], ids=["batched", "single"])
+    @pytest.mark.parametrize("shape", [(3, 5, 12), (1, 5, 12)], ids=["batched", "batch_of_one"])
     @pytest.mark.parametrize("layer_range", [LayerRange(0, 2), LayerRange(1, 3)],
                              ids=["inner", "to_depth"])
     def test_matches_generic_composition(self, shape, layer_range):
@@ -227,7 +227,7 @@ class TestFusedBlock:
     def test_untracked_input_gets_no_grad(self):
         bundle = perturbed_bundle(self.CFG, seed=44)
         bundle.set_tracked(True)
-        x = Tensor(np.random.default_rng(45).normal(size=(4, 12)))
+        x = Tensor(np.random.default_rng(45).normal(size=(1, 4, 12)))
         with Tape():
             loss = T.tsum(enc.encoder_forward(x, bundle, LayerRange(0, 1)))
         backward(loss)
@@ -451,71 +451,91 @@ class TestBufferReuse:
 
 
 class TestPatchEmbed:
+    CFG = EncoderConfig(depth=1, dim=4, heads=1, max_seq=5, patch=2, channels=1)
+
     def test_patch_counting(self):
-        cfg = EncoderConfig(depth=1, dim=4, heads=1, max_seq=5, patch=2,
-                            channels=1, image_hw=(4, 4))
-        bundle = enc.random_bundle(cfg, seed=0, with_patch=True)
-        img = np.arange(16.0).reshape(4, 4, 1)
-        flat = enc.flatten_patches(img, 2)
-        assert flat.shape == (4, 4)
-        tokens = enc.patch_embed(Tensor(img), bundle)
-        assert tokens.shape == (4, 4)
+        bundle = enc.random_bundle(self.CFG, seed=0, with_patch=True)
+        imgs = np.arange(32.0).reshape(2, 4, 4, 1)
+        flat = enc.flatten_patches(imgs, 2)
+        assert flat.shape == (2, 4, 4)
+        tokens = enc.patch_embed(Tensor(imgs), bundle)
+        assert tokens.shape == (2, 4, 4)
 
     def test_identity_projection_returns_flattened_patches(self):
-        cfg = EncoderConfig(depth=1, dim=4, heads=1, max_seq=5, patch=2,
-                            channels=1, image_hw=(4, 4))
-        bundle = enc.random_bundle(cfg, seed=0, with_patch=True)
+        bundle = enc.random_bundle(self.CFG, seed=0, with_patch=True)
         bundle.patch_proj = Tensor(np.eye(4))
         bundle.patch_bias = Tensor(np.zeros(4))
-        img = np.arange(16.0).reshape(4, 4, 1)
-        tokens = enc.patch_embed(Tensor(img), bundle)
-        np.testing.assert_array_equal(tokens.data, enc.flatten_patches(img, 2))
-        # row-major patch grid: first patch is the top-left block
-        np.testing.assert_array_equal(tokens.data[0], [0.0, 1.0, 4.0, 5.0])
+        imgs = np.arange(32.0).reshape(2, 4, 4, 1)
+        tokens = enc.patch_embed(Tensor(imgs), bundle)
+        np.testing.assert_array_equal(tokens.data, enc.flatten_patches(imgs, 2))
+        # row-major patch grid: each image's first patch is its top-left block
+        np.testing.assert_array_equal(tokens.data[0, 0], [0.0, 1.0, 4.0, 5.0])
+        np.testing.assert_array_equal(tokens.data[1, 0], [16.0, 17.0, 20.0, 21.0])
 
     def test_matches_flatten_then_matmul_oracle(self):
-        cfg = EncoderConfig(depth=1, dim=6, heads=1, max_seq=7, patch=3,
-                            channels=2, image_hw=(6, 9))
+        cfg = EncoderConfig(depth=1, dim=6, heads=1, max_seq=7, patch=3, channels=2)
         bundle = enc.random_bundle(cfg, seed=1, with_patch=True)
         rng = np.random.default_rng(2)
-        img = rng.normal(size=(6, 9, 2))
-        got = enc.patch_embed(Tensor(img), bundle).data
-        want = enc.flatten_patches(img, 3) @ bundle.patch_proj.data + bundle.patch_bias.data
+        imgs = rng.normal(size=(3, 6, 9, 2))  # three distinct non-square images
+        got = enc.patch_embed(Tensor(imgs), bundle).data
+        # each patch cut out by hand, grid row by grid row, flattened (row, column, channel)
+        patches = np.array([[img[r:r + 3, c:c + 3].reshape(-1)
+                             for r in range(0, 6, 3) for c in range(0, 9, 3)] for img in imgs])
+        want = patches @ bundle.patch_proj.data + bundle.patch_bias.data
+        assert got.shape == (3, 6, 6)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_indivisible_resolution(self):
-        cfg = EncoderConfig(depth=1, dim=4, heads=1, max_seq=5, patch=2,
-                            channels=1, image_hw=(4, 4))
-        bundle = enc.random_bundle(cfg, seed=0, with_patch=True)
+        bundle = enc.random_bundle(self.CFG, seed=0, with_patch=True)
         with pytest.raises(DimensionError):
-            enc.patch_embed(Tensor(np.zeros((5, 4, 1))), bundle)
+            enc.patch_embed(Tensor(np.zeros((1, 5, 4, 1))), bundle)
 
 
 class TestAssembleImageSequence:
     def test_zero_tokens_rejected(self):
         bundle = enc.random_bundle(TOY, seed=0)
         with pytest.raises(CapacityError):
-            enc.assemble_sequence(Tensor(np.zeros((0, 8))), bundle)
+            enc.assemble_sequence(Tensor(np.zeros((2, 0, 8))), bundle)
 
     def test_too_long_rejected(self):
         bundle = enc.random_bundle(TOY, seed=0)
         with pytest.raises(CapacityError):
-            enc.assemble_sequence(Tensor(np.zeros((TOY.max_seq, 8))), bundle)
+            enc.assemble_sequence(Tensor(np.zeros((2, TOY.max_seq, 8))), bundle)
 
     def test_zero_pos_and_cls_is_prepend(self):
-        bundle = enc.zero_bundle(TOY)
-        tokens = np.random.default_rng(0).normal(size=(3, 8))
+        bundle = enc.random_bundle(TOY, scale=0.0)
+        tokens = np.random.default_rng(0).normal(size=(2, 3, 8))
         seq = enc.assemble_sequence(Tensor(tokens), bundle)
-        np.testing.assert_array_equal(seq.data[0], np.zeros(8))
-        np.testing.assert_array_equal(seq.data[1:], tokens)
+        np.testing.assert_array_equal(seq.data[:, 0], np.zeros((2, 8)))
+        np.testing.assert_array_equal(seq.data[:, 1:], tokens)
 
     def test_rows_are_elementwise_sums(self):
         bundle = enc.random_bundle(TOY, seed=13)
-        tokens = np.random.default_rng(14).normal(size=(2, 8))
+        tokens = np.random.default_rng(14).normal(size=(2, 2, 8))
         seq = enc.assemble_sequence(Tensor(tokens), bundle)
-        np.testing.assert_allclose(seq.data[0], bundle.cls_token.data[0] + bundle.pos_embed.data[0])
-        np.testing.assert_allclose(seq.data[1], tokens[0] + bundle.pos_embed.data[1])
-        np.testing.assert_allclose(seq.data[2], tokens[1] + bundle.pos_embed.data[2])
+        pos = bundle.pos_embed.data
+        for i in range(2):
+            np.testing.assert_allclose(seq.data[i, 0], bundle.cls_token.data[0] + pos[0])
+            np.testing.assert_allclose(seq.data[i, 1], tokens[i, 0] + pos[1])
+            np.testing.assert_allclose(seq.data[i, 2], tokens[i, 1] + pos[2])
+
+
+@pytest.mark.parametrize("entry", ["model_forward", "assemble_sequence", "encoder_forward",
+                                   "patch_embed"])
+def test_forward_entry_points_refuse_the_unbatched_layout(entry):
+    cfg = EncoderConfig(depth=1, dim=8, heads=2, max_seq=6, patch=2, channels=1)
+    bundle = enc.random_bundle(cfg, seed=0, with_patch=True)
+    model = M.build_model(M.AdapterConfig(input_dim=4, n_views=3, out_dim=8),
+                          M.HeadConfig(in_dim=8, n_classes=2), bundle=bundle)
+    call, unbatched = {
+        "model_forward": (lambda x: M.model_forward(x, model), (4,)),
+        "assemble_sequence": (lambda x: enc.assemble_sequence(x, bundle), (3, 8)),
+        "encoder_forward": (lambda x: enc.encoder_forward(x, bundle, LayerRange(0, 1)), (4, 8)),
+        "patch_embed": (lambda x: enc.patch_embed(x, bundle), (4, 4, 1)),
+    }[entry]
+    call(Tensor(np.zeros((1,) + unbatched)))  # the same input as a batch of one runs
+    with pytest.raises(DimensionError, match=re.escape(str(unbatched))):
+        call(Tensor(np.zeros(unbatched)))
 
 
 class TestSaveLoad:
@@ -576,8 +596,8 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("wrong, named", [
         (EncoderConfig(depth=2, dim=8, heads=4, mlp_ratio=2, max_seq=6), "heads 2 in the file, 4"),
-        (EncoderConfig(depth=2, dim=16, heads=2, mlp_ratio=2, max_seq=6, image_hw=(4, 4)),
-         "dim 8 in the file, 16 requested, image_hw (8, 8) in the file, (4, 4)"),
+        (EncoderConfig(depth=2, dim=16, heads=2, mlp_ratio=2, max_seq=9),
+         "dim 8 in the file, 16 requested, max_seq 6 in the file, 9 requested"),
     ], ids=["shapeless_field", "two_fields"])
     def test_config_differing_from_the_files_names_the_fields(self, tmp_path, wrong, named):
         path = tmp_path / "enc.weights"
@@ -610,9 +630,8 @@ class TestSaveLoad:
         assert enc.config_from_metadata(meta) == TOY
 
     @pytest.mark.parametrize("field, value", [
-        ("depth", "2"), ("depth", True), ("depth", 2.0), ("depth", None),
-        ("image_hw", [8]), ("image_hw", [8, "8"]), ("image_hw", 8),
-    ], ids=["str", "bool", "float", "null", "short_pair", "str_in_pair", "not_a_pair"])
+        ("depth", "2"), ("depth", True), ("depth", 2.0), ("depth", None), ("depth", [2]),
+    ], ids=["str", "bool", "float", "null", "list"])
     def test_metadata_value_of_wrong_type_names_field(self, field, value):
         fields = {**asdict(TOY), field: value}
         with pytest.raises(ConfigError, match=f"'encoder': field '{field}'"):

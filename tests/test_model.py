@@ -109,38 +109,40 @@ class TestAdapterForward:
 class TestAssembleTabularSequence:
     def test_no_pos_is_plain_prepend(self):
         bundle = enc.random_bundle(CFG, seed=6)
-        views = np.random.default_rng(7).normal(size=(3, 8))
+        views = np.random.default_rng(7).normal(size=(2, 3, 8))
         seq = M.assemble_tabular_sequence(Tensor(views), bundle, use_pos=False)
-        np.testing.assert_array_equal(seq.data[0], bundle.cls_token.data[0])
-        np.testing.assert_array_equal(seq.data[1:], views)
+        np.testing.assert_array_equal(seq.data[:, 0], np.tile(bundle.cls_token.data, (2, 1)))
+        np.testing.assert_array_equal(seq.data[:, 1:], views)
 
     def test_zero_pos_embed_equals_no_pos(self):
         bundle = enc.random_bundle(CFG, seed=8)
         bundle.pos_embed.data[:] = 0.0
-        views = Tensor(np.random.default_rng(9).normal(size=(2, 8)))
+        views = Tensor(np.random.default_rng(9).normal(size=(2, 2, 8)))
         a = M.assemble_tabular_sequence(views, bundle, use_pos=True)
         b = M.assemble_tabular_sequence(views, bundle, use_pos=False)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_rows_are_sums_with_pos(self):
         bundle = enc.random_bundle(CFG, seed=10)
-        views = np.random.default_rng(11).normal(size=(3, 8))
+        views = np.random.default_rng(11).normal(size=(2, 3, 8))
         seq = M.assemble_tabular_sequence(Tensor(views), bundle, use_pos=True)
-        np.testing.assert_allclose(
-            seq.data[0], bundle.cls_token.data[0] + bundle.pos_embed.data[0])
-        for i in range(3):
+        for b in range(2):
             np.testing.assert_allclose(
-                seq.data[i + 1], views[i] + bundle.pos_embed.data[i + 1])
+                seq.data[b, 0], bundle.cls_token.data[0] + bundle.pos_embed.data[0])
+            for i in range(3):
+                np.testing.assert_allclose(
+                    seq.data[b, i + 1], views[b, i] + bundle.pos_embed.data[i + 1])
 
     def test_capacity(self):
         bundle = enc.random_bundle(CFG, seed=0)
         with pytest.raises(CapacityError):
-            M.assemble_tabular_sequence(Tensor(np.zeros((CFG.max_seq, 8))), bundle)
+            M.assemble_tabular_sequence(Tensor(np.zeros((1, CFG.max_seq, 8))), bundle)
 
 
 class TestModelForward:
     def test_zero_cascade_returns_head_bias(self):
-        bundle = enc.zero_bundle(EncoderConfig(depth=2, dim=8, heads=2, mlp_ratio=2, max_seq=6))
+        bundle = enc.random_bundle(EncoderConfig(depth=2, dim=8, heads=2, mlp_ratio=2, max_seq=6),
+                                   scale=0.0)
         model = M.build_model(
             AdapterConfig(input_dim=4, n_views=3, depth=1, out_dim=8),
             HeadConfig(in_dim=8, n_classes=3, depth=1),
@@ -152,8 +154,8 @@ class TestModelForward:
         w, b = model.head.layers[0]
         w.data[:] = 0.0
         b.data[:] = [1.0, 2.0, 3.0]
-        out = M.model_forward(np.random.default_rng(0).normal(size=4), model)
-        np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
+        out = M.model_forward(np.random.default_rng(0).normal(size=(2, 4)), model)
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
 
     def test_matches_hand_stepped_reference(self):
         cfg = EncoderConfig(depth=1, dim=4, heads=2, mlp_ratio=2, max_seq=4)
@@ -164,7 +166,7 @@ class TestModelForward:
             bundle=bundle, seed=13, use_pos=True,
         )
         x = np.random.default_rng(14).normal(size=3)
-        got = M.model_forward(x, model).data
+        got = M.model_forward(x[None], model).data[0]
 
         # straight-line reference
         def ln(v, g, b, eps=1e-6):
@@ -206,12 +208,12 @@ class TestModelForward:
         batch = rng.normal(size=(5, 4))
         full = M.model_forward(batch, model).data
         for i in range(5):
-            one = M.model_forward(batch[i], model).data
-            np.testing.assert_allclose(full[i], one, atol=1e-12)
+            one = M.model_forward(batch[i:i + 1], model).data
+            np.testing.assert_allclose(full[i:i + 1], one, atol=1e-12)
 
     def test_deterministic(self):
         model = toy_model(seed=17)
-        x = np.random.default_rng(18).normal(size=4)
+        x = np.random.default_rng(18).normal(size=(3, 4))
         a = M.model_forward(x, model).data
         b = M.model_forward(x, model).data
         assert (a == b).all()
@@ -223,22 +225,21 @@ class TestModelForward:
             bundle=None, seed=19,
         )
         assert model.parameter_groups()["encoder"] == []
-        out = M.model_forward(np.random.default_rng(20).normal(size=4), model)
-        assert out.shape == (3,)
+        out = M.model_forward(np.random.default_rng(20).normal(size=(2, 4)), model)
+        assert out.shape == (2, 3)
 
     def test_view_permutation_invariance_without_pos(self):
         bundle = enc.random_bundle(CFG, seed=21, scale=0.4)
         model = toy_model(seed=22, use_pos=False, bundle=bundle)
-        views = np.random.default_rng(23).normal(size=(3, 8))
+        views = np.random.default_rng(23).normal(size=(2, 3, 8))
 
         def logits_for(v):
             seq = M.assemble_tabular_sequence(Tensor(v), bundle, use_pos=False)
             out = enc.encoder_forward(seq, bundle, model.layer_range)
-            rep = T.reshape(T.take(out, 0, axis=-2), (1, 8))
-            return M._run_stack(rep, model.head.layers).data
+            return M._run_stack(T.take(out, 0, axis=-2), model.head.layers).data
 
         base = logits_for(views)
-        perm = logits_for(views[[2, 0, 1]])
+        perm = logits_for(views[:, [2, 0, 1]])
         np.testing.assert_allclose(base, perm, atol=1e-10)
 
 
@@ -279,7 +280,8 @@ class TestFreezeAndCounting:
             M.set_freeze_mode(toy_model(), "half_frozen")
 
     def test_trainable_count_shape_arithmetic(self):
-        bundle = enc.zero_bundle(EncoderConfig(depth=1, dim=8, heads=2, mlp_ratio=2, max_seq=4))
+        bundle = enc.random_bundle(EncoderConfig(depth=1, dim=8, heads=2, mlp_ratio=2, max_seq=4),
+                                   scale=0.0)
         model = M.build_model(
             AdapterConfig(input_dim=4, n_views=2, depth=1, out_dim=8),
             HeadConfig(in_dim=8, n_classes=2, depth=1),
@@ -356,7 +358,7 @@ class TestCheckpoint:
         path = tmp_path / "model.weights"
         M.save_checkpoint(model, path)
         loaded = M.load_checkpoint(path)
-        x = np.random.default_rng(30).normal(size=4)
+        x = np.random.default_rng(30).normal(size=(2, 4))
         np.testing.assert_array_equal(
             M.model_forward(x, model).data, M.model_forward(x, loaded).data)
 
@@ -394,12 +396,12 @@ class TestCheckpoint:
         M.save_checkpoint(model, path)
         loaded = M.load_checkpoint(path)
         assert loaded.encoder is None
-        x = np.random.default_rng(33).normal(size=4)
+        x = np.random.default_rng(33).normal(size=(2, 4))
         np.testing.assert_array_equal(
             M.model_forward(x, model).data, M.model_forward(x, loaded).data)
 
     def test_round_trip_restores_every_setting(self, tmp_path):
-        cfg = EncoderConfig(depth=2, dim=8, heads=2, mlp_ratio=2, max_seq=6, image_hw=(16, 16))
+        cfg = EncoderConfig(depth=2, dim=8, heads=2, mlp_ratio=2, max_seq=6, patch=2, channels=3)
         model = M.build_model(
             AdapterConfig(input_dim=4, n_views=3, depth=2, hidden_dim=None, out_dim=cfg.dim),
             HeadConfig(in_dim=cfg.dim, n_classes=3, depth=2, hidden_dim=5),
