@@ -39,12 +39,15 @@ class TabularDataset:
     def __init__(self, X: np.ndarray, y: np.ndarray, column_kinds: list[str],
                  class_count: int, categories: dict[int, list[str]] | None = None,
                  name: str = "", label_names: list[str] | None = None):
-        raw = np.asarray(X)
-        if raw.dtype.kind in "OSU":  # text is refused, not parsed; an object grid's None is NaN
-            for index, cell in np.ndenumerate(raw.astype(object, copy=False)):
-                if isinstance(cell, (str, bytes)):
-                    raise ContractError(f"feature grid cell {index} holds text {cell!r}")
-        self._X = np.asarray(raw, dtype=np.float64)
+        try:  # text is refused, not parsed; an object grid's None is NaN
+            raw = np.asarray(X)
+            if raw.dtype.kind in "OSU":
+                for index, cell in np.ndenumerate(raw.astype(object, copy=False)):
+                    if isinstance(cell, (str, bytes)):
+                        raise ContractError(f"feature grid cell {index} holds text {cell!r}")
+            self._X = np.asarray(raw, dtype=np.float64)
+        except (TypeError, ValueError) as e:  # ragged rows, or a cell such as a dict
+            raise ContractError(f"feature grid is not a rectangle of numbers: {e}") from None
         self._y = class_labels(y, class_count)
         if self._X.ndim != 2 or len(self._X) != len(self._y):
             raise ContractError("feature grid and labels disagree on row count")

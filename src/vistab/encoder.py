@@ -77,6 +77,15 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def require_sizes(config, *names: str) -> None:
+    """Raise :class:`ContractError` naming the first field among `names` of `config`
+    that is below 1; a field left at None passes."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and value < 1:
+            raise ContractError(f"{type(config).__name__}.{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     depth: int
@@ -88,6 +97,7 @@ class EncoderConfig:
     channels: int = 1
 
     def __post_init__(self):
+        require_sizes(self, "depth", "dim", "heads", "mlp_ratio", "patch", "channels")
         if self.dim % self.heads != 0:
             raise ContractError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.max_seq < 2:
@@ -611,8 +621,14 @@ def read_metadata(meta: dict[str, str], key: str, cls,
 
 
 def read_config(meta: dict[str, str], key: str, cls):
-    """The config dataclass `cls` stored as one JSON value under ``meta[key]``."""
-    return cls(**read_metadata(meta, key, cls))
+    """The config dataclass `cls` stored as one JSON value under ``meta[key]``.
+
+    A value its constructor refuses raises :class:`ConfigError` naming the key.
+    """
+    try:
+        return cls(**read_metadata(meta, key, cls))
+    except ContractError as e:
+        raise ConfigError(f"metadata {key!r}: {e}") from None
 
 
 def config_from_metadata(meta: dict[str, str]) -> EncoderConfig:

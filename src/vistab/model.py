@@ -47,8 +47,7 @@ class AdapterConfig:
     out_dim: int = 32
 
     def __post_init__(self):
-        if self.n_views < 1 or self.depth < 1:
-            raise ContractError("adapter needs n_views >= 1 and depth >= 1")
+        enc.require_sizes(self, "input_dim", "n_views", "depth", "hidden_dim", "out_dim")
 
     def layer_widths(self) -> list[tuple[int, int]]:
         hidden = self.hidden_dim if self.hidden_dim is not None else self.out_dim
@@ -63,10 +62,9 @@ class HeadConfig:
     hidden_dim: int | None = None
 
     def __post_init__(self):
+        enc.require_sizes(self, "in_dim", "depth", "hidden_dim")
         if self.n_classes < 2:
             raise ContractError("head needs at least two classes")
-        if self.depth < 1:
-            raise ContractError("head depth must be >= 1")
 
     def layer_widths(self) -> list[tuple[int, int]]:
         hidden = self.hidden_dim if self.hidden_dim is not None else self.in_dim

@@ -1,9 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Forward ops run as plain numpy array arithmetic. When a :class:`Tape` is
-active and an operand participates in gradient tracking, the op also
-records a backward closure; :func:`backward` replays the tape in exact
-reverse order and accumulates gradients into every tracked leaf.
+Forward ops run as plain numpy array arithmetic. Every op, the generic
+ones here and a caller's own, records itself the one way :func:`custom`
+does: when a :class:`Tape` is active and an input participates in
+gradient tracking, the tape keeps ``(output, inputs, vjp)``, where
+``vjp(g)`` returns one gradient per input (``None`` for an untracked
+one). :func:`backward` replays the tape in exact reverse order and is the
+one place that accumulates those gradients into the inputs.
 
 The active tape is per thread: a ``with Tape()`` block records only the ops
 its own thread runs, and other threads' forwards meanwhile stay untaped.
@@ -12,8 +15,8 @@ releases every record as it replays it, so a step's activations are freed
 without waiting for the cycle collector. Tensors not attached to a tape are
 immutable from this module's point of view and safe to share.
 
-Besides the generic ops, :func:`custom` lets a caller record one op whose
-forward and vector-Jacobian product it computes itself in plain numpy.
+A caller records an op of its own, with a forward and vector-Jacobian
+product it computes in plain numpy, through that same :func:`custom`.
 """
 
 from __future__ import annotations
@@ -72,10 +75,10 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of ops with backward closures, replayed in reverse."""
+    """Ordered ``(output, inputs, vjp)`` records of ops, replayed in reverse."""
 
     def __init__(self):
-        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._recorded = 0  # ops ever recorded; `backward` empties _records
         self._consumed = False
         self._previous: Tape | None = None
@@ -99,17 +102,6 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _record(out: Tensor, inputs: Sequence[Tensor], bwd: Callable[[np.ndarray], None]) -> Tensor:
-    tape = _ACTIVE.tape
-    if tape is None or not any(t.tracked for t in inputs):
-        return out
-    out.tracked = True
-    out._tape = tape
-    tape._records.append((out, bwd))
-    tape._recorded += 1
-    return out
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64, copy=True)
@@ -130,36 +122,62 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _along(ndim: int, axis: int, at) -> tuple:
+    """The index that picks `at` (an int or a slice) along `axis` of an `ndim`-array."""
+    index = [slice(None)] * ndim
+    index[axis] = at
+    return tuple(index)
+
+
+def _scatter(shape: tuple[int, ...], index: tuple, g: np.ndarray) -> np.ndarray:
+    """Zeros of `shape` with `g` written at `index`: the backward of reading `index`."""
+    full = np.zeros(shape)
+    full[index] = g
+    return full
+
+
+def custom(out: np.ndarray, inputs: Sequence[Tensor],
+           vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
+    """Wrap a forward result as one recorded op; every op in this module records this way.
+
+    ``vjp(g)`` receives d(loss)/d(out) and returns one gradient per input,
+    in the order of ``inputs``, or ``None`` for an input that is not
+    tracked; gradients of untracked inputs are dropped either way. It runs
+    at most once, during :func:`backward`, which accumulates (and so
+    copies) what it returns.
+    """
+    result = Tensor(out)
+    tape = _ACTIVE.tape
+    inputs = tuple(inputs)
+    if tape is None or not any(t.tracked for t in inputs):
+        return result
+    result.tracked = True
+    result._tape = tape
+    tape._records.append((result, inputs, vjp))
+    tape._recorded += 1
+    return result
+
+
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     try:
-        out = Tensor(a.data + b.data)
+        out = a.data + b.data
     except ValueError:
         raise DimensionError(f"cannot add shapes {a.shape} and {b.shape}")
-
-    def bwd(g):
-        if a.tracked:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.tracked:
-            _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _record(out, (a, b), bwd)
+    return custom(out, (a, b), lambda g: (
+        _unbroadcast(g, a.shape) if a.tracked else None,
+        _unbroadcast(g, b.shape) if b.tracked else None))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     try:
-        out = Tensor(a.data * b.data)
+        out = a.data * b.data
     except ValueError:
         raise DimensionError(f"cannot multiply shapes {a.shape} and {b.shape}")
-
-    def bwd(g):
-        if a.tracked:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.tracked:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return _record(out, (a, b), bwd)
+    return custom(out, (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.shape) if a.tracked else None,
+        _unbroadcast(g * a.data, b.shape) if b.tracked else None))
 
 
 def matmul(a, b) -> Tensor:
@@ -167,125 +185,65 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul shapes do not chain: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def bwd(g):
-        if a.tracked:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.tracked:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    return _record(out, (a, b), bwd)
+    return custom(a.data @ b.data, (a, b), lambda g: (
+        _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.tracked else None,
+        _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.tracked else None))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
-    old = x.shape
-    out = Tensor(x.data.reshape(tuple(shape)))
-
-    def bwd(g):
-        if x.tracked:
-            _accumulate(x, g.reshape(old))
-
-    return _record(out, (x,), bwd)
+    return custom(x.data.reshape(tuple(shape)), (x,), lambda g: (g.reshape(x.shape),))
 
 
 def swap_axes(x: Tensor, i: int, j: int) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(np.swapaxes(x.data, i, j))
-
-    def bwd(g):
-        if x.tracked:
-            _accumulate(x, np.swapaxes(g, i, j))
-
-    return _record(out, (x,), bwd)
+    return custom(np.swapaxes(x.data, i, j), (x,), lambda g: (np.swapaxes(g, i, j),))
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.tracked:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                _accumulate(p, g[tuple(sl)])
-
-    return _record(out, tuple(parts), bwd)
+    parts = tuple(_as_tensor(p) for p in parts)
+    bounds = np.cumsum([p.shape[axis] for p in parts[:-1]])
+    return custom(np.concatenate([p.data for p in parts], axis=axis), parts,
+                  lambda g: np.split(g, bounds, axis=axis))
 
 
 def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    out = Tensor(np.stack([p.data for p in parts], axis=axis))
-
-    def bwd(g):
-        slices = np.moveaxis(g, axis, 0)
-        for p, gp in zip(parts, slices):
-            if p.tracked:
-                _accumulate(p, gp)
-
-    return _record(out, tuple(parts), bwd)
+    parts = tuple(_as_tensor(p) for p in parts)
+    return custom(np.stack([p.data for p in parts], axis=axis), parts,
+                  lambda g: np.moveaxis(g, axis, 0))
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along `axis`."""
     x = _as_tensor(x)
-    sl = [slice(None)] * x.data.ndim
-    sl[axis] = slice(start, start + length)
-    out = Tensor(x.data[tuple(sl)])
-
-    def bwd(g):
-        if x.tracked:
-            full = np.zeros_like(x.data)
-            full[tuple(sl)] = g
-            _accumulate(x, full)
-
-    return _record(out, (x,), bwd)
+    index = _along(x.data.ndim, axis, slice(start, start + length))
+    return custom(x.data[index], (x,), lambda g: (_scatter(x.shape, index, g),))
 
 
 def take(x: Tensor, index: int, axis: int = 0) -> Tensor:
     """Select one slice along `axis`, dropping that axis."""
     x = _as_tensor(x)
-    out = Tensor(np.take(x.data, index, axis=axis))
-
-    def bwd(g):
-        if x.tracked:
-            full = np.zeros_like(x.data)
-            sl = [slice(None)] * x.data.ndim
-            sl[axis] = index
-            full[tuple(sl)] = g
-            _accumulate(x, full)
-
-    return _record(out, (x,), bwd)
+    out = np.take(x.data, index, axis=axis)
+    where = _along(x.data.ndim, axis, index)
+    return custom(out, (x,), lambda g: (_scatter(x.shape, where, g),))
 
 
 def expand_leading(x: Tensor, n: int) -> Tensor:
     """Repeat `x` along a new leading axis of extent `n`."""
     x = _as_tensor(x)
-    out = Tensor(np.broadcast_to(x.data, (n,) + x.shape).copy())
-
-    def bwd(g):
-        if x.tracked:
-            _accumulate(x, g.sum(axis=0))
-
-    return _record(out, (x,), bwd)
+    return custom(np.broadcast_to(x.data, (n,) + x.shape).copy(), (x,),
+                  lambda g: (g.sum(axis=0),))
 
 
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(x.data.sum(axis=axis))
 
-    def bwd(g):
-        if x.tracked:
-            if axis is None:
-                _accumulate(x, np.full_like(x.data, float(g)))
-            else:
-                _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
+    def vjp(g):
+        if axis is None:
+            return (np.full_like(x.data, float(g)),)
+        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
 
-    return _record(out, (x,), bwd)
+    return custom(x.data.sum(axis=axis), (x,), vjp)
 
 
 def tmean(x: Tensor, axis: int | None = None) -> Tensor:
@@ -298,30 +256,20 @@ def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the exact normal CDF (erf form)."""
     x = _as_tensor(x)
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = Tensor(x.data * cdf)
 
-    def bwd(g):
-        if x.tracked:
-            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-            _accumulate(x, g * (cdf + x.data * pdf))
+    def vjp(g):
+        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
+        return (g * (cdf + x.data * pdf),)
 
-    return _record(out, (x,), bwd)
+    return custom(x.data * cdf, (x,), vjp)
 
 
 def softmax(x: Tensor) -> Tensor:
     """Row-stochastic softmax over the last axis, stabilized by max-subtraction."""
     x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p)
-
-    def bwd(g):
-        if x.tracked:
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            _accumulate(x, (g - dot) * p)
-
-    return _record(out, (x,), bwd)
+    return custom(p, (x,), lambda g: ((g - (g * p).sum(axis=-1, keepdims=True)) * p,))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -339,42 +287,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    out = Tensor(xhat * gain.data + bias.data)
 
-    def bwd(g):
-        if gain.tracked:
-            _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        if bias.tracked:
-            _accumulate(bias, g.reshape(-1, d).sum(axis=0))
+    def vjp(g):
+        gx = None
         if x.tracked:
             dxhat = g * gain.data
             # standard layer-norm backward through mean and variance
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, term * inv_std)
+            gx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv_std
+        return (gx, (g * xhat).reshape(-1, d).sum(axis=0) if gain.tracked else None,
+                g.reshape(-1, d).sum(axis=0) if bias.tracked else None)
 
-    return _record(out, (x, gain, bias), bwd)
-
-
-def custom(out: np.ndarray, inputs: Sequence[Tensor],
-           vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
-    """Wrap a hand-computed forward result as one recorded op.
-
-    ``vjp(g)`` receives d(loss)/d(out) and returns one gradient per input,
-    in the order of ``inputs``, or ``None`` for an input that is not
-    tracked; gradients of untracked inputs are dropped either way. It runs
-    at most once, during :func:`backward`, which accumulates (and so
-    copies) what it returns.
-    """
-    inputs = tuple(inputs)
-    result = Tensor(out)
-
-    def bwd(g):
-        for t, gt in zip(inputs, vjp(g)):
-            if t.tracked and gt is not None:
-                _accumulate(t, gt)
-
-    return _record(result, inputs, bwd)
+    return custom(xhat * gain.data + bias.data, (x, gain, bias), vjp)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -388,16 +312,14 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise DimensionError(f"expected {b} labels, got shape {y.shape}")
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1)) + logits.data.max(axis=-1)
-    out = Tensor(np.mean(lse - logits.data[np.arange(b), y]))
 
-    def bwd(g):
-        if logits.tracked:
-            p = np.exp(shifted)
-            p /= p.sum(axis=-1, keepdims=True)
-            p[np.arange(b), y] -= 1.0
-            _accumulate(logits, float(g) * p / b)
+    def vjp(g):
+        p = np.exp(shifted)
+        p /= p.sum(axis=-1, keepdims=True)
+        p[np.arange(b), y] -= 1.0
+        return (float(g) * p / b,)
 
-    return _record(out, (logits,), bwd)
+    return custom(np.mean(lse - logits.data[np.arange(b), y]), (logits,), vjp)
 
 
 def backward(loss: Tensor) -> None:
@@ -417,11 +339,13 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones((), dtype=np.float64)
     records = tape._records
     while records:
-        # popping drops the record's closure, and with it the last reference
-        # to the activations it saved, as soon as it has run
-        out, bwd = records.pop()
+        # popping drops the record's vjp, and with it the last reference to
+        # the activations it saved, as soon as it has run
+        out, inputs, vjp = records.pop()
         if out.grad is not None:
-            bwd(out.grad)
+            for t, g in zip(inputs, vjp(out.grad)):
+                if t.tracked and g is not None:
+                    _accumulate(t, g)
 
 
 def zero_grads(params: Sequence[Tensor]) -> None:

@@ -83,9 +83,12 @@ def test_object_grid_converts_none_to_nan():
     ([["a"], [None]], "cell (0, 0) holds text 'a'"),
     (np.array([["1.5"], ["2"]]), "cell (0, 0) holds text '1.5'"),
     (np.array([[2.0], ["1.5"]], dtype=object), "cell (1, 0) holds text '1.5'"),
-], ids=["text_beside_none", "str_array", "text_in_object_grid"])
+    ([[1.0, 2.0], [3.0]], "not a rectangle of numbers: setting an array element"),
+    ([[{}], [1.0]], "not a rectangle of numbers: float() argument"),
+], ids=["text_beside_none", "str_array", "text_in_object_grid", "ragged_rows", "dict_cell"])
 def test_grid_holding_text_is_refused_naming_the_cell(grid, cell):
-    # a grid of numbers and None still converts: test_object_grid_converts_none_to_nan
+    # a grid of numbers and None still converts: test_object_grid_converts_none_to_nan;
+    # a grid that is no rectangle of numbers is refused with numpy's reason
     with pytest.raises(ContractError, match=re.escape(cell)):
         D.TabularDataset(grid, [0, 1], [D.NUMERIC], class_count=2)
 

@@ -112,24 +112,42 @@ class TestEncoderForward:
             one = enc.encoder_forward(Tensor(batch[i:i + 1]), bundle, LayerRange(0, 2)).data
             np.testing.assert_allclose(full[i:i + 1], one, atol=1e-12)
 
-    def test_input_gradients_through_frozen_encoder(self):
-        bundle = enc.random_bundle(TOY, seed=11, scale=0.3)
-        bundle.set_tracked(False)
+    @pytest.mark.parametrize("mode", ["frozen", "fine_tune"])
+    def test_input_gradients_through_frozen_encoder(self, mode):
+        # the fused blocks and the final norm's generic op, recorded the same way
+        cfg = EncoderConfig(depth=1, dim=4, heads=2, mlp_ratio=2, max_seq=4)
+        bundle = enc.random_bundle(cfg, seed=11, scale=0.3)
+        bundle.set_tracked(mode == "fine_tune")
         rng = np.random.default_rng(12)
-        t0 = rng.normal(size=(2, 3, 8))
-        mask = Tensor(rng.normal(size=(2, 3, 8)))
+        t0 = rng.normal(size=(2, 3, 4))
+        mask = Tensor(rng.normal(size=(2, 3, 4)))
 
         def f(x):
-            return T.tsum(T.mul(enc.encoder_forward(x, bundle, LayerRange(0, 2)), mask))
+            return T.tsum(T.mul(enc.encoder_forward(x, bundle, LayerRange(0, 1)), mask))
+
+        def assert_matches(got, want):
+            denom = max(np.abs(want).max(), 1e-12)
+            assert np.abs(got - want).max() / denom < 1e-4
 
         leaf = Tensor(t0, tracked=True)
         with Tape():
             loss = f(leaf)
         backward(loss)
-        want = finite_diff_grad(f, Tensor(t0), h=1e-5)
-        denom = max(np.abs(want).max(), 1e-12)
-        assert np.abs(leaf.grad - want).max() / denom < 1e-4
-        assert all(p.grad is None for p in bundle.parameters())
+        assert_matches(leaf.grad, finite_diff_grad(f, Tensor(t0), h=1e-5))
+        if mode == "frozen":
+            assert all(p.grad is None for p in bundle.parameters())
+            return
+        for p in bundle.parameters():
+            def f_weight(w, p=p):
+                saved, p.data = p.data, w.data
+                try:
+                    return f(Tensor(t0))
+                finally:
+                    p.data = saved
+
+            want = finite_diff_grad(f_weight, p, h=1e-5)
+            # pos_embed and cls_token are read before encoder_forward: no gradient here
+            assert_matches(np.zeros_like(want) if p.grad is None else p.grad, want)
 
 
 def generic_block(x, L, cfg):

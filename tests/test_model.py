@@ -461,3 +461,43 @@ class TestCheckpoint:
         wio.save_tensors(path, tensors, metadata=meta)
         with pytest.raises(ConfigError, match=repr(key)):
             M.load_checkpoint(path)
+
+
+def _stored_config(key, field, value):
+    """Load a file whose `key` metadata holds `field` = `value`: a checkpoint, or the
+    encoder's own weights file when `key` is "weights"."""
+    def load(tmp_path):
+        path = tmp_path / "stored.weights"
+        if key == "weights":
+            enc.save_weights(enc.random_bundle(CFG, seed=40), path)
+        else:
+            M.save_checkpoint(toy_model(seed=40), path)
+        tensors, meta = wio.load_tensors(path)
+        stored = "encoder" if key == "weights" else key
+        meta[stored] = json.dumps({**json.loads(meta[stored]), field: value})
+        wio.save_tensors(path, tensors, metadata=meta)
+        return enc.load_weights(path, CFG) if key == "weights" else M.load_checkpoint(path)
+    return load
+
+
+@pytest.mark.parametrize("make, error, named", [
+    (lambda _: EncoderConfig(depth=1, dim=8, heads=0), ContractError, "EncoderConfig.heads"),
+    (lambda _: EncoderConfig(depth=0, dim=8, heads=2), ContractError, "EncoderConfig.depth"),
+    (lambda _: EncoderConfig(depth=1, dim=8, heads=2, patch=0), ContractError,
+     "EncoderConfig.patch"),
+    (lambda _: M.AdapterWeights.init(AdapterConfig(input_dim=-1, n_views=2)), ContractError,
+     "AdapterConfig.input_dim"),
+    (lambda _: AdapterConfig(input_dim=3, n_views=2, hidden_dim=0), ContractError,
+     "AdapterConfig.hidden_dim"),
+    (lambda _: HeadConfig(in_dim=0, n_classes=2), ContractError, "HeadConfig.in_dim"),
+    (_stored_config("weights", "heads", 0), ConfigError, "'encoder': EncoderConfig.heads"),
+    (_stored_config("encoder", "heads", 0), ConfigError, "'encoder': EncoderConfig.heads"),
+    (_stored_config("adapter", "input_dim", -1), ConfigError,
+     "'adapter': AdapterConfig.input_dim"),
+    (_stored_config("head", "depth", 0), ConfigError, "'head': HeadConfig.depth"),
+], ids=["encoder_heads", "encoder_depth", "encoder_patch", "adapter_input_dim",
+        "adapter_hidden_dim", "head_in_dim", "load_weights_heads", "checkpoint_heads",
+        "checkpoint_input_dim", "checkpoint_head_depth"])
+def test_size_below_one_is_refused_naming_the_field(tmp_path, make, error, named):
+    with pytest.raises(error, match=re.escape(named) + " must be >= 1"):
+        make(tmp_path)
