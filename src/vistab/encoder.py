@@ -21,14 +21,15 @@ tokens of that same shape, :func:`assemble_sequence` prepends CLS to make
 single example is a batch of one; any other rank raises
 :class:`~vistab.errors.DimensionError`.
 
-Each block runs in plain numpy on 2-D ``(rows, D)`` arrays and records one
-op on the tape (:func:`vistab.tensor.custom`), with a hand-written backward
-that skips the gradients of untracked weights, so a frozen slice costs
-only its input gradient. Q, K and V stay three ``(D, D)`` products on
-purpose: on ``(272, 192)`` rows (batch 16, 17 tokens, ViT-Tiny width) one
-``(D, 3D)`` product took 0.87 ms against 0.97 ms for the three (best of
-400, one OpenBLAS thread, 2-CPU x86-64 VM), about 1 % of a block's
-forward, too little to keep a second weight layout beside the stored one.
+Each block runs in plain numpy on 2-D ``(rows, D)`` arrays, on the LayerNorm,
+GELU and softmax kernels of :mod:`vistab.tensor` that the generic ops share, and
+records one op on the tape (:func:`vistab.tensor.custom`), with a hand-written
+backward that skips the gradients of untracked weights, so a frozen slice costs
+only its input gradient. Q, K and V stay three ``(D, D)`` products on purpose: on
+``(272, 192)`` rows (batch 16, 17 tokens, ViT-Tiny width) one ``(D, 3D)`` product
+took 0.87 ms against 0.97 ms for the three (best of 400, one OpenBLAS thread,
+2-CPU x86-64 VM), about 1 % of a block's forward, too little to keep a second
+weight layout beside the stored one.
 
 A block takes every large array it computes from a private pool of flat
 buffers, reused across steps. Fresh arrays would be freed by ``backward``
@@ -66,15 +67,11 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from . import tensor as T
 from . import weights as wio
 from .errors import CapacityError, ConfigError, ContractError, DimensionError
 from .tensor import Tensor
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def require_sizes(config, *names: str) -> None:
@@ -380,34 +377,6 @@ def _entry_size(entry: tuple[np.ndarray, int]) -> int:
 _POOL = _BufferPool()
 
 
-def _ln(x: np.ndarray, xhat: np.ndarray, scratch: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Write x's standardized rows into `xhat`; return their inverse standard deviations.
-
-    Population variance; `scratch` is a buffer of x's shape.
-    """
-    np.subtract(x, x.mean(axis=-1, keepdims=True), out=xhat)
-    inv_std = 1.0 / np.sqrt(np.multiply(xhat, xhat, out=scratch).mean(axis=-1, keepdims=True)
-                            + eps)
-    xhat *= inv_std
-    return inv_std
-
-
-def _ln_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gain: Tensor,
-                 bias: Tensor, dx: np.ndarray, scratch: np.ndarray,
-                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(input, gain, bias) gradients of ``xhat * gain + bias``; the last two when tracked.
-
-    The input gradient is written into `dx`; `scratch` is a buffer of g's shape.
-    """
-    dxhat = np.multiply(g, gain.data, out=scratch)
-    np.subtract(dxhat, dxhat.mean(axis=-1, keepdims=True), out=dx)
-    dxhat *= xhat
-    dx -= np.multiply(xhat, dxhat.mean(axis=-1, keepdims=True), out=scratch)
-    dx *= inv_std
-    return (dx, np.multiply(g, xhat, out=scratch).sum(axis=0) if gain.tracked else None,
-            g.sum(axis=0) if bias.tracked else None)
-
-
 def _linear_grads(a: np.ndarray | None, g: np.ndarray, w: Tensor,
                   bias: Tensor) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(weight, bias) gradients of ``a @ w + bias``, each only when tracked.
@@ -444,32 +413,25 @@ def _block(x: Tensor, layer: EncoderLayer, cfg: EncoderConfig) -> Tensor:
     x1, h = _POOL.take(tmp, rows, d), _POOL.take(tmp, rows, d)  # h: one temporary at a time
 
     x0 = x.data.reshape(rows, d)
-    inv1 = _ln(x0, xhat1, h)
-    np.multiply(xhat1, L.ln1_gain.data, out=h)  # h1
-    h += L.ln1_bias.data
+    inv1 = T._ln(x0, xhat1, h)
+    T._ln_affine(xhat1, L.ln1_gain, L.ln1_bias, h)  # h1
     for w, bias, t in ((L.wq, L.bq, q), (L.wk, L.bk, k), (L.wv, L.bv, v)):
         np.matmul(h, w.data, out=t)
         t += bias.data
     q, k, v = split(q), split(k), split(v)
     np.matmul(q, k.swapaxes(-1, -2), out=p)
     p *= scale
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    T._softmax(p, p)
     np.matmul(p, v, out=split(ctx))
     np.matmul(ctx, L.wo.data, out=h)  # the attention branch
     h += L.bo.data
     np.add(x0, h, out=x1)
 
-    inv2 = _ln(x1, xhat2, h)
-    np.multiply(xhat2, L.ln2_gain.data, out=h)  # h2
-    h += L.ln2_bias.data
+    inv2 = T._ln(x1, xhat2, h)
+    T._ln_affine(xhat2, L.ln2_gain, L.ln2_bias, h)  # h2
     np.matmul(h, L.w1.data, out=u)
     u += L.b1.data
-    np.multiply(u, _INV_SQRT2, out=cdf)
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    T._gelu_gate(u, cdf)
     np.matmul(np.multiply(u, cdf, out=_POOL.take(tmp, rows, hidden)), L.w2.data,
               out=h)  # the MLP branch
     h += L.b2.data
@@ -484,21 +446,12 @@ def _block(x: Tensor, layer: EncoderLayer, cfg: EncoderConfig) -> Tensor:
         gy = g.reshape(rows, d)
         gw2, gb2 = _linear_grads(np.multiply(u, cdf, out=wide) if L.w2.tracked else None,
                                  gy, L.w2, L.b2)
-        slope = np.multiply(u, u, out=wide)  # GELU'(u) = cdf + u * pdf, built in one buffer
-        slope *= -0.5
-        np.exp(slope, out=slope)
-        slope *= _INV_SQRT_2PI
-        slope *= u
-        slope += cdf
         np.matmul(gy, L.w2.data.T, out=gu)
-        gu *= slope
-        h2 = None
-        if L.w1.tracked:
-            h2 = np.multiply(xhat2, L.ln2_gain.data, out=h)
-            h2 += L.ln2_bias.data
+        gu *= T._gelu_slope(u, cdf, wide)
+        h2 = T._ln_affine(xhat2, L.ln2_gain, L.ln2_bias, h) if L.w1.tracked else None
         gw1, gb1 = _linear_grads(h2, gu, L.w1, L.b1)
-        gx1, gg2, gbb2 = _ln_backward(np.matmul(gu, L.w1.data.T, out=gh), xhat2, inv2,
-                                      L.ln2_gain, L.ln2_bias, gx1, h)
+        gx1, gg2, gbb2 = T._ln_backward(np.matmul(gu, L.w1.data.T, out=gh), xhat2, inv2,
+                                        L.ln2_gain, L.ln2_bias, gx1, h)
         gx1 += gy
 
         gwo, gbo = _linear_grads(ctx, gx1, L.wo, L.bo)
@@ -510,18 +463,16 @@ def _block(x: Tensor, layer: EncoderLayer, cfg: EncoderConfig) -> Tensor:
         gs *= scale
         np.matmul(gs, k, out=split(gq))
         np.matmul(gs.swapaxes(-1, -2), q, out=split(gk))
-        h1 = None
-        if L.wq.tracked or L.wk.tracked or L.wv.tracked:
-            h1 = np.multiply(xhat1, L.ln1_gain.data, out=h)
-            h1 += L.ln1_bias.data
+        h1 = (T._ln_affine(xhat1, L.ln1_gain, L.ln1_bias, h)
+              if L.wq.tracked or L.wk.tracked or L.wv.tracked else None)
         gwq, gbq = _linear_grads(h1, gq, L.wq, L.bq)
         gwk, gbk = _linear_grads(h1, gk, L.wk, L.bk)
         gwv, gbv = _linear_grads(h1, gv, L.wv, L.bv)
         gh1 = np.matmul(gq, L.wq.data.T, out=gh)
         gh1 += np.matmul(gk, L.wk.data.T, out=h)
         gh1 += np.matmul(gv, L.wv.data.T, out=h)
-        gx, gg1, gbb1 = _ln_backward(gh1, xhat1, inv1, L.ln1_gain, L.ln1_bias,
-                                     np.empty((rows, d)), h)
+        gx, gg1, gbb1 = T._ln_backward(gh1, xhat1, inv1, L.ln1_gain, L.ln1_bias,
+                                       np.empty((rows, d)), h)
         gx += gx1
         _POOL.give(tmp)
         # the order of (x, *L.tensors())

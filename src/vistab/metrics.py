@@ -133,12 +133,6 @@ class ExperimentReport:
         self.errors.append(
             {"dataset": dataset, "method": method, "seed": seed, "error": message})
 
-    def mcc_values(self, dataset: str | None = None,
-                   method: str | None = None) -> list[float]:
-        return [r.mcc for r in self.rows
-                if (dataset is None or r.dataset == dataset)
-                and (method is None or r.method == method)]
-
     def aggregate(self) -> dict[tuple[str, str], dict[str, float]]:
         """(dataset, method) -> mean/std MCC and accuracy over seeds."""
         groups: dict[tuple[str, str], list[ReportRow]] = {}

@@ -23,7 +23,7 @@ from . import encoder as enc
 from . import tensor as T
 from . import weights as wio
 from .encoder import EncoderBundle, LayerRange
-from .errors import CapacityError, ContractError, DimensionError
+from .errors import CapacityError, ConfigError, ContractError, DimensionError
 from .tensor import Tensor
 
 FREEZE_MODES = ("frozen", "fine_tune", "fully_trained")
@@ -267,8 +267,13 @@ def load_checkpoint(path: str | Path) -> VisTabNet:
          for pair in stack] for stack in _dense_slots(adapter_cfg, head_cfg))
     bundle = layer_range = None
     if "encoder" in meta:
-        bundle = enc.bundle_from_tensors(tensors, enc.config_from_metadata(meta))
+        encoder_cfg = enc.config_from_metadata(meta)
         layer_range = enc.read_config(meta, "layer_range", LayerRange)
+        try:  # a range that the stored encoder's depth does not hold
+            layer_range.validate(encoder_cfg.depth)
+        except ContractError as e:
+            raise ConfigError(f"metadata 'layer_range': {e}") from None
+        bundle = enc.bundle_from_tensors(tensors, encoder_cfg)
     return VisTabNet(
         adapter=AdapterWeights(config=adapter_cfg, layers=adapter_layers),
         head=HeadWeights(config=head_cfg, layers=head_layers),

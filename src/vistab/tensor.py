@@ -15,8 +15,10 @@ releases every record as it replays it, so a step's activations are freed
 without waiting for the cycle collector. Tensors not attached to a tape are
 immutable from this module's point of view and safe to share.
 
-A caller records an op of its own, with a forward and vector-Jacobian
-product it computes in plain numpy, through that same :func:`custom`.
+The LayerNorm, GELU and softmax rules are each stated once, in the ``_ln*``,
+``_gelu_*`` and ``_softmax`` kernels. They work on plain arrays, write into
+buffers the caller passes (fresh ones from the ops here, pool buffers from the
+encoder's fused ``_block``) and record nothing.
 """
 
 from __future__ import annotations
@@ -122,9 +124,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _along(ndim: int, axis: int, at) -> tuple:
-    """The index that picks `at` (an int or a slice) along `axis` of an `ndim`-array."""
-    index = [slice(None)] * ndim
+def _along(shape: tuple[int, ...], axis: int, at) -> tuple:
+    """The index that picks `at` (an int or a slice) along `axis` of a `shape` array;
+    :class:`DimensionError` unless the axis holds it (a slice within [0, extent])."""
+    if not -len(shape) <= axis < len(shape):
+        raise DimensionError(f"axis {axis} out of range for shape {shape}")
+    n = shape[axis]
+    if not (0 <= at.start <= at.stop <= n if isinstance(at, slice) else -n <= at < n):
+        what = f"window [{at.start}, {at.stop})" if isinstance(at, slice) else f"index {at}"
+        raise DimensionError(f"{what} is outside axis {axis} of extent {n}")
+    index = [slice(None)] * len(shape)
     index[axis] = at
     return tuple(index)
 
@@ -216,16 +225,15 @@ def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along `axis`."""
     x = _as_tensor(x)
-    index = _along(x.data.ndim, axis, slice(start, start + length))
+    index = _along(x.shape, axis, slice(start, start + length))
     return custom(x.data[index], (x,), lambda g: (_scatter(x.shape, index, g),))
 
 
 def take(x: Tensor, index: int, axis: int = 0) -> Tensor:
     """Select one slice along `axis`, dropping that axis."""
     x = _as_tensor(x)
-    out = np.take(x.data, index, axis=axis)
-    where = _along(x.data.ndim, axis, index)
-    return custom(out, (x,), lambda g: (_scatter(x.shape, where, g),))
+    where = _along(x.shape, axis, index)
+    return custom(x.data[where], (x,), lambda g: (_scatter(x.shape, where, g),))
 
 
 def expand_leading(x: Tensor, n: int) -> Tensor:
@@ -237,13 +245,8 @@ def expand_leading(x: Tensor, n: int) -> Tensor:
 
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
-
-    def vjp(g):
-        if axis is None:
-            return (np.full_like(x.data, float(g)),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
-
-    return custom(x.data.sum(axis=axis), (x,), vjp)
+    return custom(x.data.sum(axis=axis), (x,), lambda g: (np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis), x.shape).copy(),))
 
 
 def tmean(x: Tensor, axis: int | None = None) -> Tensor:
@@ -252,23 +255,77 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
     return mul(tsum(x, axis=axis), 1.0 / count)
 
 
+def _ln(x: np.ndarray, xhat: np.ndarray, scratch: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Write x's standardized rows (population variance) into `xhat`; return their inverse
+    standard deviations. `scratch` is a buffer of x's shape."""
+    np.subtract(x, x.mean(axis=-1, keepdims=True), out=xhat)
+    inv_std = 1.0 / np.sqrt(np.multiply(xhat, xhat, out=scratch).mean(axis=-1, keepdims=True)
+                            + eps)
+    xhat *= inv_std
+    return inv_std
+
+
+def _ln_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gain: Tensor,
+                 bias: Tensor, dx: np.ndarray | None, scratch: np.ndarray) -> tuple:
+    """(input, gain, bias) gradients of ``xhat * gain + bias`` over 2-D rows. The input's
+    goes into `dx`, or is None when `dx` is; the gain's and the bias's are None when not
+    tracked. `scratch` is a buffer of g's shape."""
+    if dx is not None:
+        dxhat = np.multiply(g, gain.data, out=scratch)
+        np.subtract(dxhat, dxhat.mean(axis=-1, keepdims=True), out=dx)
+        dxhat *= xhat
+        dx -= np.multiply(xhat, dxhat.mean(axis=-1, keepdims=True), out=scratch)
+        dx *= inv_std
+    return (dx, np.multiply(g, xhat, out=scratch).sum(axis=0) if gain.tracked else None,
+            g.sum(axis=0) if bias.tracked else None)
+
+
+def _ln_affine(xhat: np.ndarray, gain: Tensor, bias: Tensor, out: np.ndarray) -> np.ndarray:
+    """Write ``xhat * gain + bias``, the LayerNorm output, into `out` and return it."""
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
+    return out
+
+
+def _gelu_gate(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the GELU gate Phi(u), the exact normal CDF, into `out` and return it."""
+    erf(np.multiply(u, _INV_SQRT2, out=out), out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _gelu_slope(u: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write GELU'(u) = Phi(u) + u * phi(u) into `out`, given ``cdf`` = Phi(u); return it."""
+    np.multiply(u, u, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    out *= u
+    out += cdf
+    return out
+
+
+def _softmax(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the max-shifted softmax of x's rows into `out`, which may be `x`; return it."""
+    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the exact normal CDF (erf form)."""
     x = _as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-
-    def vjp(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        return (g * (cdf + x.data * pdf),)
-
-    return custom(x.data * cdf, (x,), vjp)
+    cdf = _gelu_gate(x.data, np.empty_like(x.data))
+    return custom(x.data * cdf, (x,),
+                  lambda g: (g * _gelu_slope(x.data, cdf, np.empty_like(x.data)),))
 
 
 def softmax(x: Tensor) -> Tensor:
     """Row-stochastic softmax over the last axis, stabilized by max-subtraction."""
     x = _as_tensor(x)
-    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax(x.data, np.empty_like(x.data))
     return custom(p, (x,), lambda g: ((g - (g * p).sum(axis=-1, keepdims=True)) * p,))
 
 
@@ -277,28 +334,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise DimensionError(
-            f"layer_norm expects gain/bias of shape ({d},), got {gain.shape} and {bias.shape}"
-        )
+        raise DimensionError(f"layer_norm expects gain/bias of shape ({d},), "
+                             f"got {gain.shape} and {bias.shape}")
     if eps <= 0:
         raise ContractError("layer_norm eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
+    rows = x.data.reshape(-1, d)
+    xhat = np.empty_like(rows)
+    inv_std = _ln(rows, xhat, np.empty_like(rows), eps)
 
     def vjp(g):
-        gx = None
-        if x.tracked:
-            dxhat = g * gain.data
-            # standard layer-norm backward through mean and variance
-            gx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv_std
-        return (gx, (g * xhat).reshape(-1, d).sum(axis=0) if gain.tracked else None,
-                g.reshape(-1, d).sum(axis=0) if bias.tracked else None)
+        g = g.reshape(-1, d)
+        gx, gg, gb = _ln_backward(g, xhat, inv_std, gain, bias,
+                                  np.empty_like(g) if x.tracked else None, np.empty_like(g))
+        return (None if gx is None else gx.reshape(x.shape), gg, gb)
 
-    return custom(xhat * gain.data + bias.data, (x, gain, bias), vjp)
+    return custom(_ln_affine(xhat, gain, bias, np.empty_like(xhat)).reshape(x.shape),
+                  (x, gain, bias), vjp)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -314,8 +365,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=-1)) + logits.data.max(axis=-1)
 
     def vjp(g):
-        p = np.exp(shifted)
-        p /= p.sum(axis=-1, keepdims=True)
+        p = _softmax(logits.data, np.empty((b, k)))
         p[np.arange(b), y] -= 1.0
         return (float(g) * p / b,)
 

@@ -450,7 +450,10 @@ class TestCheckpoint:
         ("model", lambda v: "[]"),
         ("layer_range", lambda v: json.dumps({**json.loads(v), "step": 1})),
         ("encoder", lambda v: json.dumps({k: x for k, x in json.loads(v).items() if k != "heads"})),
-    ], ids=["missing", "not_json", "not_object", "unknown_field", "missing_field"])
+        ("layer_range", lambda v: json.dumps({"start": 1, "end": 5})),
+        ("layer_range", lambda v: json.dumps({"start": 2, "end": 1})),
+    ], ids=["missing", "not_json", "not_object", "unknown_field", "missing_field",
+            "range_past_depth", "range_reversed"])
     def test_bad_metadata_raises_config_error_naming_key(self, tmp_path, key, edit):
         path = tmp_path / "model.weights"
         M.save_checkpoint(toy_model(seed=39), path)

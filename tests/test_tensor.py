@@ -105,6 +105,21 @@ class TestLayerNorm:
         want = finite_diff_grad(fg, Tensor(g0), h=1e-5)
         assert rel_err(got, want) < 1e-5
 
+    def test_batched_input_under_a_non_contiguous_upstream_gradient(self):
+        # (B, S, D) input, as the encoder's final norm gets; swap_axes hands
+        # layer_norm's vjp a non-contiguous gradient
+        rng = np.random.default_rng(4)
+        x0, g0, b0 = rng.normal(size=(2, 3, 4)), rng.normal(1.0, 0.2, 4), rng.normal(size=4)
+        mask = Tensor(rng.normal(size=(3, 2, 4)))
+
+        def f(x, g, b):
+            return T.tsum(T.mul(T.swap_axes(T.layer_norm(x, g, b), 0, 1), mask))
+
+        for arg, fn in ((x0, lambda x: f(x, Tensor(g0), Tensor(b0))),
+                        (g0, lambda g: f(Tensor(x0), g, Tensor(b0))),  # x untracked
+                        (b0, lambda b: f(Tensor(x0), Tensor(g0), b))):
+            assert rel_err(grad_of(fn, arg), finite_diff_grad(fn, Tensor(arg))) < 1e-5
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_standardization_invariant(self, seed):
@@ -322,6 +337,27 @@ def test_every_layer_type_agrees_with_finite_differences(name):
         got = grad_of(lambda x: fn(x, aux), x0)
         want = finite_diff_grad(lambda x: fn(x, aux), Tensor(x0), h=1e-5)
         assert rel_err(got, want) < 1e-4, f"{name} trial {trial}"
+
+
+@pytest.mark.parametrize("op, match", [
+    (lambda x: T.narrow(x, 0, 3, 2), r"window \[3, 5\) is outside axis 0 of extent 4"),
+    (lambda x: T.narrow(x, 0, -1, 2), r"window \[-1, 1\) is outside axis 0 of extent 4"),
+    (lambda x: T.narrow(x, -1, 1, 2), r"window \[1, 3\) is outside axis -1 of extent 2"),
+    (lambda x: T.take(x, 5), r"index 5 is outside axis 0 of extent 4"),
+    (lambda x: T.take(x, -3, axis=1), r"index -3 is outside axis 1 of extent 2"),
+    (lambda x: T.take(x, 0, axis=2), r"axis 2 out of range for shape \(4, 2\)"),
+], ids=["narrow_past_end", "narrow_negative_start", "narrow_last_axis", "take_past_end",
+        "take_negative", "take_no_such_axis"])
+def test_narrow_and_take_refuse_what_the_axis_does_not_hold(op, match):
+    with pytest.raises(DimensionError, match=match):
+        op(Tensor(np.zeros((4, 2))))
+
+
+def test_narrow_and_take_reach_both_ends_of_the_axis():
+    x = Tensor(np.arange(8.0).reshape(4, 2))
+    np.testing.assert_array_equal(T.narrow(x, 0, 2, 2).data, x.data[2:])
+    assert T.narrow(x, 0, 4, 0).shape == (0, 2)
+    np.testing.assert_array_equal(T.take(x, -4).data, x.data[0])
 
 
 @given(st.integers(0, 2**32 - 1))
