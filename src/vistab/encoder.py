@@ -51,18 +51,43 @@ and a fifth of a frozen ViT-Tiny step's time. The lifetime rule:
 The pool does not keep a one-off working set for good: it frees idle
 buffers beyond the most it lent out at once over a window of takes (see
 :class:`_BufferPool`).
+
+A block may split its batch into k contiguous parts of whole sequences
+and run them on as many threads: the calling thread runs the first,
+worker threads made at the first split run the others, and the backward
+splits the same way. Attention mixes only the tokens of one sequence, so
+each part's rows get the whole batch's arithmetic, bit for bit; only the
+weight gradients, the sum of the parts' (the later parts' are backward
+temporaries), can differ in the last bit. The split only pays where each
+thread has enough work and a CPU to itself, so :func:`_parts` takes k from
+what the block can observe, each time it runs: the CPUs in the process's
+affinity mask, the threads the environment gives OpenBLAS, and the part's
+size. k is at most 2, the only count measured, and 1 (the block runs
+inline on the calling thread and starts no thread) on one CPU, as in a
+process pinned with ``os.sched_setaffinity``; where OpenBLAS is not told
+its thread count (it then runs one thread per CPU); or for a part below
+the measured break-even. Only the calling thread records the tape op and
+runs public functions. The workers run the block's numpy arithmetic, the
+``T._ln*``, ``T._gelu_*`` and ``T._softmax`` kernels and the pool, never a
+public :mod:`vistab` function (a tracer that wraps those may keep one span
+stack for the process), and never give work to the workers themselves,
+so no worker waits on another.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import json
 import math
+import os
 import threading
 import typing
 import weakref
 from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait as futures_wait
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -306,10 +331,11 @@ class _BufferPool:
     At the end of each window of :attr:`window` takes the pool frees idle
     buffers, longest idle first, until it holds no more than the most it
     lent out at once in that window. A one-off large forward, or a working
-    set no longer used, is thus freed one to two windows later (25 to 50
-    steps of a two-block slice), while a window still spans an evaluation
-    pass of a few hundred rows between two training steps; a longer pass
-    costs one step's page faults once.
+    set no longer used, is thus freed one to two windows later (12 to 25
+    steps of a two-block slice whose blocks split in two, each part taking
+    its own buffers, and 25 to 50 unsplit), while a window still spans an
+    evaluation pass of a few hundred rows between two training steps; a
+    longer pass costs one step's page faults once.
 
     Only :meth:`take` holds the lock. :meth:`give` runs from vjp
     finalizers, which the cycle collector may call anywhere, inside
@@ -377,25 +403,134 @@ def _entry_size(entry: tuple[np.ndarray, int]) -> int:
 _POOL = _BufferPool()
 
 
-def _linear_grads(a: np.ndarray | None, g: np.ndarray, w: Tensor,
-                  bias: Tensor) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(weight, bias) gradients of ``a @ w + bias``, each only when tracked.
+def _linear_grads(a: np.ndarray | None, g: np.ndarray, w: Tensor, bias: Tensor,
+                  new) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(weight, bias) gradients of ``a @ w + bias``, each only when tracked; the weight's
+    goes into ``new(*w.shape)``.
 
     ``a`` may be None when ``w`` is not tracked: the inputs that only weight
     gradients need are recomputed in the backward, and only then.
     """
-    return (a.T @ g if w.tracked else None, g.sum(axis=0) if bias.tracked else None)
+    return (np.matmul(a.T, g, out=new(*w.shape)) if w.tracked else None,
+            g.sum(axis=0) if bias.tracked else None)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on, read afresh on each call, so that a later
+    ``os.sched_setaffinity`` counts; 1 where the OS has no affinity call."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _blas_threads() -> int | None:
+    """The threads the environment gives OpenBLAS, read in OpenBLAS's order (the first
+    of its three variables that holds a positive count), or None when none does, and
+    OpenBLAS runs a thread per CPU. OpenBLAS reads them when numpy loads it, so this is
+    its count unless the environment changed later."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return None
+
+
+# The most parts a block splits into: the split was measured on two CPUs alone.
+_MAX_PARTS = 2
+# The fewest rows x dim a part may have. Steps of a two-block slice split in
+# two against inline (frozen, fine_tune and untaped, one OpenBLAS thread, 2-CPU
+# x86-64 VM, dims 12 to 192): parts of 3,264 to 4,608 ran 0.84-1.03x as fast,
+# 6,528 1.05-1.15x, and every shape tried at 8,704 or more 1.10-1.68x. Rows x
+# dim sets the break-even, not the matmul size rows x dim^2: dim-32 and dim-192
+# parts of about equal rows x dim^2 ran 1.56x and 1.00x.
+_MIN_PART_SIZE = 8192
+
+
+def _parts(b: int, s: int, d: int) -> int:
+    """How many parts a ``(b, s, d)`` block's batch splits into: one per group of CPUs
+    as large as OpenBLAS's threads, at most :data:`_MAX_PARTS` and at most b, with no
+    part below :data:`_MIN_PART_SIZE` rows x dim; 1 when OpenBLAS's count is unknown."""
+    blas = _blas_threads()
+    if blas is None:
+        return 1
+    return max(1, min(_MAX_PARTS, _cpus() // blas, b, b * s * d // _MIN_PART_SIZE))
+
+
+@functools.cache
+def _workers() -> ThreadPoolExecutor:
+    """The worker threads, made when a block first splits (no thread starts before)."""
+    return ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="vistab-block")
+
+
+# a forked child has none of its parent's threads, so it makes its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_workers.cache_clear)
+
+
+def _spread(tasks: list) -> list:
+    """Each of `tasks` called, the first on this thread and the rest on the worker
+    threads; their results in order, once every one has finished."""
+    if len(tasks) == 1:
+        return [tasks[0]()]
+    futures = [_workers().submit(task) for task in tasks[1:]]
+    try:
+        first = tasks[0]()
+    finally:
+        futures_wait(futures)
+    return [first] + [f.result() for f in futures]
+
+
+def _sum_parts(parts: tuple) -> np.ndarray | None:
+    """The parts' gradients of one weight summed into the first; None when untracked."""
+    total = parts[0]
+    if total is not None:
+        for part in parts[1:]:
+            total += part
+    return total
 
 
 def _block(x: Tensor, layer: EncoderLayer, cfg: EncoderConfig) -> Tensor:
     """One pre-norm block, ``x + Attn(LN1(x))`` then ``+ MLP(LN2(.))``, as one tape op.
+
+    The batch splits into k = :func:`_parts` contiguous parts of whole
+    sequences, run by :func:`_block_part` on as many threads (the module
+    docstring says why that is exact). The output and the input gradient are
+    fresh arrays that each part writes its rows of; the weight gradients are
+    the sum of the parts'.
+    """
+    b, s, d = x.shape
+    k = _parts(b, s, d)
+    bounds = [b * i // k for i in range(k + 1)]
+    parts = list(zip(bounds, bounds[1:]))
+    out = np.empty((b, s, d))
+    keep: list[np.ndarray] = []  # what every part's backward reads, one lease
+    backs = _spread([functools.partial(_block_part, x.data[lo:hi], layer, cfg, out[lo:hi], keep)
+                     for lo, hi in parts])
+
+    def vjp(g):
+        gx = np.empty((b, s, d))
+        summed = []  # the pool buffers of the later parts' weight gradients
+        grads = _spread([functools.partial(back, g[lo:hi], gx[lo:hi], summed if i else None)
+                         for i, (back, (lo, hi)) in enumerate(zip(backs, parts))])
+        grads = tuple(map(_sum_parts, zip(*grads)))
+        _POOL.give(summed)
+        return (gx, *grads)  # the order of (x, *layer.tensors())
+
+    weakref.finalize(vjp, _POOL.give, keep)
+    return T.custom(out, (x, *layer.tensors()), vjp)
+
+
+def _block_part(x: np.ndarray, layer: EncoderLayer, cfg: EncoderConfig, out: np.ndarray,
+                keep: list[np.ndarray]):
+    """The block on a ``(b, s, d)`` part of the batch: writes its output into `out` and
+    returns its backward, ``back(g, gx, lease)``, which writes the input gradient into
+    `gx` and returns the 16 weight gradients in the order of ``layer.tensors()``: fresh
+    arrays when `lease` is None, else the large ones are pool buffers appended to it.
 
     Every product runs on 2-D ``(rows, D)`` arrays; only the per-head score
     and context products are batched. The backward is written out by hand
     (the attention part as in FlashAttention's backward: dP = dO V^T,
     dS = P * (dP - rowsum(dP * P))) and computes a weight's gradient only
     when that weight is tracked, so a frozen block costs its input gradient
-    alone. Every large array but the output and the returned gradients is
+    alone. Every large array but `out`, `gx` and the weight gradients is
     a pool buffer, leased as the module docstring describes.
     """
     L = layer
@@ -406,13 +541,13 @@ def _block(x: Tensor, layer: EncoderLayer, cfg: EncoderConfig) -> Tensor:
     def split(t):  # (b*s, d) -> (b, heads, s, dh), a view
         return t.reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
 
-    keep, tmp = [], []  # leases: what the backward reads, the forward's temporaries
+    tmp = []  # the forward's temporaries
     xhat1, q, k, v, ctx, xhat2 = (_POOL.take(keep, rows, d) for _ in range(6))
     u, cdf = _POOL.take(keep, rows, hidden), _POOL.take(keep, rows, hidden)
     p = _POOL.take(keep, b, heads, s, s)
     x1, h = _POOL.take(tmp, rows, d), _POOL.take(tmp, rows, d)  # h: one temporary at a time
 
-    x0 = x.data.reshape(rows, d)
+    x0 = x.reshape(rows, d)
     inv1 = T._ln(x0, xhat1, h)
     T._ln_affine(xhat1, L.ln1_gain, L.ln1_bias, h)  # h1
     for w, bias, t in ((L.wq, L.bq, q), (L.wk, L.bk, k), (L.wv, L.bv, v)):
@@ -435,26 +570,28 @@ def _block(x: Tensor, layer: EncoderLayer, cfg: EncoderConfig) -> Tensor:
     np.matmul(np.multiply(u, cdf, out=_POOL.take(tmp, rows, hidden)), L.w2.data,
               out=h)  # the MLP branch
     h += L.b2.data
-    out = x1 + h
+    np.add(x1, h, out=out.reshape(rows, d))
     _POOL.give(tmp)
 
-    def vjp(g):
+    def back(g, gx, lease):
         tmp = []  # the backward's temporaries
+        new = ((lambda *shape: np.empty(shape)) if lease is None
+               else functools.partial(_POOL.take, lease))
         wide, gu = _POOL.take(tmp, rows, hidden), _POOL.take(tmp, rows, hidden)
         h, gh, gx1, gq, gk, gv = (_POOL.take(tmp, rows, d) for _ in range(6))  # h, gh: reused
         gs, gsp = _POOL.take(tmp, b, heads, s, s), _POOL.take(tmp, b, heads, s, s)
         gy = g.reshape(rows, d)
         gw2, gb2 = _linear_grads(np.multiply(u, cdf, out=wide) if L.w2.tracked else None,
-                                 gy, L.w2, L.b2)
+                                 gy, L.w2, L.b2, new)
         np.matmul(gy, L.w2.data.T, out=gu)
         gu *= T._gelu_slope(u, cdf, wide)
         h2 = T._ln_affine(xhat2, L.ln2_gain, L.ln2_bias, h) if L.w1.tracked else None
-        gw1, gb1 = _linear_grads(h2, gu, L.w1, L.b1)
+        gw1, gb1 = _linear_grads(h2, gu, L.w1, L.b1, new)
         gx1, gg2, gbb2 = T._ln_backward(np.matmul(gu, L.w1.data.T, out=gh), xhat2, inv2,
                                         L.ln2_gain, L.ln2_bias, gx1, h)
         gx1 += gy
 
-        gwo, gbo = _linear_grads(ctx, gx1, L.wo, L.bo)
+        gwo, gbo = _linear_grads(ctx, gx1, L.wo, L.bo, new)
         gctx = split(np.matmul(gx1, L.wo.data.T, out=gh))
         np.matmul(p.swapaxes(-1, -2), gctx, out=split(gv))
         np.matmul(gctx, v.swapaxes(-1, -2), out=gs)
@@ -465,22 +602,20 @@ def _block(x: Tensor, layer: EncoderLayer, cfg: EncoderConfig) -> Tensor:
         np.matmul(gs.swapaxes(-1, -2), q, out=split(gk))
         h1 = (T._ln_affine(xhat1, L.ln1_gain, L.ln1_bias, h)
               if L.wq.tracked or L.wk.tracked or L.wv.tracked else None)
-        gwq, gbq = _linear_grads(h1, gq, L.wq, L.bq)
-        gwk, gbk = _linear_grads(h1, gk, L.wk, L.bk)
-        gwv, gbv = _linear_grads(h1, gv, L.wv, L.bv)
+        gwq, gbq = _linear_grads(h1, gq, L.wq, L.bq, new)
+        gwk, gbk = _linear_grads(h1, gk, L.wk, L.bk, new)
+        gwv, gbv = _linear_grads(h1, gv, L.wv, L.bv, new)
         gh1 = np.matmul(gq, L.wq.data.T, out=gh)
         gh1 += np.matmul(gk, L.wk.data.T, out=h)
         gh1 += np.matmul(gv, L.wv.data.T, out=h)
-        gx, gg1, gbb1 = T._ln_backward(gh1, xhat1, inv1, L.ln1_gain, L.ln1_bias,
-                                       np.empty((rows, d)), h)
-        gx += gx1
+        dx, gg1, gbb1 = T._ln_backward(gh1, xhat1, inv1, L.ln1_gain, L.ln1_bias,
+                                       gx.reshape(rows, d), h)
+        dx += gx1
         _POOL.give(tmp)
-        # the order of (x, *L.tensors())
-        return (gx.reshape(b, s, d), gg1, gbb1, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
+        return (gg1, gbb1, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
                 gg2, gbb2, gw1, gb1, gw2, gb2)
 
-    weakref.finalize(vjp, _POOL.give, keep)
-    return T.custom(out.reshape(b, s, d), (x, *L.tensors()), vjp)
+    return back
 
 
 def encoder_forward(t0: Tensor, bundle: EncoderBundle, layer_range: LayerRange) -> Tensor:

@@ -274,9 +274,13 @@ def load_checkpoint(path: str | Path) -> VisTabNet:
         except ContractError as e:
             raise ConfigError(f"metadata 'layer_range': {e}") from None
         bundle = enc.bundle_from_tensors(tensors, encoder_cfg)
+    stored = enc.read_metadata(meta, "model", VisTabNet, _MODEL_FIELDS)
+    for name, allowed in (("pool", POOLS), ("freeze_mode", FREEZE_MODES)):
+        if stored[name] not in allowed:
+            raise ConfigError(f"metadata 'model': field {name!r} must be one of {allowed}, "
+                              f"got {stored[name]!r}")
     return VisTabNet(
         adapter=AdapterWeights(config=adapter_cfg, layers=adapter_layers),
         head=HeadWeights(config=head_cfg, layers=head_layers),
-        encoder=bundle, layer_range=layer_range,
-        **enc.read_metadata(meta, "model", VisTabNet, _MODEL_FIELDS),
+        encoder=bundle, layer_range=layer_range, **stored,
     )

@@ -24,6 +24,7 @@ encoder's fused ``_block``) and record nothing.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from typing import Callable, Sequence
 
@@ -125,13 +126,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _along(shape: tuple[int, ...], axis: int, at) -> tuple:
-    """The index that picks `at` (an int or a slice) along `axis` of a `shape` array;
-    :class:`DimensionError` unless the axis holds it (a slice within [0, extent])."""
+    """The index that picks `at` (an integer or a slice of integers) along `axis` of a
+    `shape` array; :class:`DimensionError` unless the axis holds it (a slice within
+    [0, extent])."""
     if not -len(shape) <= axis < len(shape):
         raise DimensionError(f"axis {axis} out of range for shape {shape}")
+    what = f"window [{at.start}, {at.stop})" if isinstance(at, slice) else f"index {at}"
+    try:
+        at = (slice(operator.index(at.start), operator.index(at.stop))
+              if isinstance(at, slice) else operator.index(at))
+    except TypeError:
+        raise DimensionError(f"{what} along axis {axis} is not of integers") from None
     n = shape[axis]
     if not (0 <= at.start <= at.stop <= n if isinstance(at, slice) else -n <= at < n):
-        what = f"window [{at.start}, {at.stop})" if isinstance(at, slice) else f"index {at}"
         raise DimensionError(f"{what} is outside axis {axis} of extent {n}")
     index = [slice(None)] * len(shape)
     index[axis] = at
@@ -332,6 +339,8 @@ def softmax(x: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Standardize the last axis (population variance), then scale and shift."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    if x.data.ndim == 0:
+        raise DimensionError("layer_norm needs at least one axis, got a 0-d tensor")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(f"layer_norm expects gain/bias of shape ({d},), "

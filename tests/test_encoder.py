@@ -2,10 +2,15 @@ import bisect
 import gc
 import json
 import math
+import os
 import re
+import select
+import signal
 import sys
 import threading
+import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from vistab.errors import (CapacityError, ConfigError, ContractError, DimensionE
 from vistab.tensor import Tape, Tensor, backward, finite_diff_grad
 
 TOY = EncoderConfig(depth=2, dim=8, heads=2, mlp_ratio=2, max_seq=6)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def reference_block(x, L, heads):
@@ -466,6 +472,211 @@ class TestBufferReuse:
         # every buffer came back, and the pool's byte counts lost no update
         assert pool._leased == sum(b.size for b in pool._given)
         assert pool._held == sum(pool_sizes(pool))
+
+
+def split_in(monkeypatch, k):
+    """Make every block split its batch in k parts (or b, when fewer), whatever the
+    machine, the environment and the block's size."""
+    monkeypatch.setattr(enc, "_parts", lambda b, s, d: max(1, min(k, b)))
+
+
+def blas_env(monkeypatch, **env):
+    """Set OpenBLAS's three thread-count variables: those in `env`, the others unset."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        if name in env:
+            monkeypatch.setenv(name, env[name])
+        else:
+            monkeypatch.delenv(name, raising=False)
+
+
+def step_results(model, X, y):
+    """(logits, untaped logits, every parameter gradient) of one step on (X, y)."""
+    loss, logits = record(model, X, y)
+    return logits.data, M.model_forward(X, model).data, grads_of(model, loss)
+
+
+def is_encoder_param(model):
+    encoder = {id(p) for p in model.encoder.parameters()}
+    return [id(p) in encoder for p in model.parameters()]
+
+
+class TestBatchSplit:
+    """A block's batch split across threads gives the unsplit arithmetic."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 7, 16])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("mode", ["frozen", "fine_tune"])
+    def test_split_matches_inline(self, monkeypatch, mode, k, batch):
+        model = pooled_model(mode, seed=70)
+        rng = np.random.default_rng(71)
+        X, y = rng.normal(size=(batch, 7)), rng.integers(0, 3, batch)
+        split_in(monkeypatch, 1)
+        want = step_results(model, X, y)
+        split_in(monkeypatch, k)
+        got = step_results(model, X, y)
+
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert sum(g is not None for g in got[2]) == 4 + (34 if mode == "fine_tune" else 0)
+        for g, w, in_encoder in zip(got[2], want[2], is_encoder_param(model)):
+            assert (g is None) == (w is None)
+            if w is None:
+                continue
+            if in_encoder and batch > 1:  # the sum over the parts' rows, in another order
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+            else:
+                assert np.array_equal(g, w)
+
+    def test_public_functions_run_on_the_calling_thread_only(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import bench_trace
+
+        split_in(monkeypatch, 2)
+        seen, parts = set(), set()
+
+        def recorder(fn, where):
+            def recorded(*args, **kwargs):
+                where.add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return recorded
+
+        for owner, attr, _, _ in bench_trace._targets():
+            raw = owner.__dict__[attr]
+            monkeypatch.setattr(owner, attr, classmethod(recorder(raw.__func__, seen))
+                                if isinstance(raw, classmethod) else recorder(raw, seen))
+        monkeypatch.setattr(enc, "_block_part", recorder(enc._block_part, parts))
+        rng = np.random.default_rng(72)
+        X, y = rng.normal(size=(8, 7)), rng.integers(0, 3, 8)
+        for mode in ("frozen", "fine_tune"):
+            model = pooled_model(mode, seed=73)
+            grads_of(model, record(model, X, y)[0])
+        assert seen == {threading.get_ident()}
+        assert len(parts) >= 2  # the blocks did split: the calling thread and a worker
+
+    def test_untaped_forwards_from_three_threads_match_serial(self, monkeypatch):
+        split_in(monkeypatch, 2)
+        pool = enc._BufferPool()
+        monkeypatch.setattr(enc, "_POOL", pool)
+        model = pooled_model("frozen", EncoderConfig(depth=2, dim=32, heads=4, max_seq=9),
+                             seed=74)
+        rng = np.random.default_rng(75)
+        inputs = [[rng.normal(size=(rng.integers(2, 20), 7)) for _ in range(8)]
+                  for _ in range(3)]
+        want = [[M.model_forward(X, model).data for X in xs] for xs in inputs]
+        got = [[] for _ in inputs]
+        start = threading.Barrier(len(inputs))
+
+        def run(i):
+            start.wait()
+            got[i].extend(M.model_forward(X, model).data for X in inputs[i])
+
+        run_on_threads(run, len(inputs))
+        for g, w in zip(got, want):
+            assert len(g) == len(w)
+            assert all(np.array_equal(a, b) for a, b in zip(g, w))
+        # the parts' shared lease lost no buffer, and the pool's counts no update
+        assert pool._leased == sum(b.size for b in pool._given)
+        assert pool._held == sum(pool_sizes(pool))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_workers(self, monkeypatch):
+        split_in(monkeypatch, 2)
+        model = pooled_model("frozen", seed=79)
+        X = np.random.default_rng(80).normal(size=(6, 7))
+        want = M.model_forward(X, model).data
+        assert enc._workers.cache_info().currsize  # the parent's threads, which a child lacks
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # forking with threads running
+            pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ok = np.array_equal(M.model_forward(X, model).data, want)
+            finally:
+                os.write(write, b"1" if ok else b"0")
+                os._exit(0)
+        os.close(write)
+        verdict = b"hung"  # unless the child answers within a minute
+        try:
+            if select.select([read], [], [], 60)[0]:
+                verdict = os.read(read, 1)
+        finally:
+            os.close(read)
+            if verdict == b"hung":
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert verdict == b"1"
+
+    @pytest.mark.parametrize("cpus, env, dim", [
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 192),  # one CPU
+        (2, {}, 192),  # OpenBLAS not told its count: a thread per CPU already
+        (2, {"OPENBLAS_NUM_THREADS": "2"}, 192),  # OpenBLAS's threads fill both CPUs
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 12),  # parts below the break-even
+    ], ids=["one_cpu", "blas_unset", "blas_on_every_cpu", "small_block"])
+    def test_unsplit_blocks_start_no_thread(self, monkeypatch, cpus, env, dim):
+        enc._workers.cache_clear()
+        monkeypatch.setattr(enc, "_cpus", lambda: cpus)
+        blas_env(monkeypatch, **env)
+        cfg = EncoderConfig(depth=2, dim=dim, heads=3, mlp_ratio=2, max_seq=17)
+        model = pooled_model("fine_tune", cfg, seed=78)
+        rng = np.random.default_rng(76)
+        X, y = rng.normal(size=(16, 7)), rng.integers(0, 3, 16)
+        threads = set(threading.enumerate())
+        grads_of(model, record(model, X, y)[0])
+        M.model_forward(X, model)
+        assert enc._workers.cache_info().currsize == 0
+        assert set(threading.enumerate()) <= threads  # no thread started
+
+    def test_no_encoder_starts_no_thread(self, monkeypatch):
+        enc._workers.cache_clear()
+        split_in(monkeypatch, 2)
+        rng = np.random.default_rng(76)
+        X, y = rng.normal(size=(6, 7)), rng.integers(0, 3, 6)
+        no_encoder = M.build_model(M.AdapterConfig(input_dim=7, n_views=3, out_dim=12),
+                                   M.HeadConfig(in_dim=12, n_classes=3), seed=77)
+        threads = set(threading.enumerate())
+        grads_of(no_encoder, record(no_encoder, X, y)[0])
+        assert enc._workers.cache_info().currsize == 0
+        assert set(threading.enumerate()) <= threads
+
+    def test_empty_batch_gives_empty_logits(self, monkeypatch):
+        monkeypatch.setattr(enc, "_cpus", lambda: 2)
+        blas_env(monkeypatch, OPENBLAS_NUM_THREADS="1")
+        model = pooled_model("fine_tune", seed=81)
+        X = np.empty((0, 7))
+        assert M.model_forward(X, model).shape == (0, 3)
+        with Tape():
+            logits = M.model_forward(X, model)
+            total = T.tsum(logits)
+        assert logits.shape == (0, 3)
+        grads = [g for g in grads_of(model, total) if g is not None]
+        assert len(grads) == 4 + 34  # as for any batch
+        assert not any(g.any() for g in grads)
+
+
+@pytest.mark.parametrize("cpus, env, shape, want", [
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, (16, 17, 192), 2),  # frozen_train's ViT-Tiny blocks
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, (16, 17, 192), 1),
+    (64, {"OPENBLAS_NUM_THREADS": "1"}, (16, 17, 192), 2),  # never more parts than measured
+    (2, {}, (16, 17, 192), 1),
+    (2, {"OPENBLAS_NUM_THREADS": "2"}, (16, 17, 192), 1),
+    (4, {"OPENBLAS_NUM_THREADS": "2"}, (16, 17, 192), 2),
+    (2, {"OMP_NUM_THREADS": "1"}, (16, 17, 192), 2),
+    (2, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"},
+     (16, 17, 192), 2),  # OpenBLAS's order: the first positive count
+    (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, (16, 17, 192), 1),
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, (4, 17, 192), 1),  # 6,528 rows x dim a part
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, (6, 17, 192), 2),  # 9,792
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, (1, 64, 512), 1),  # one sequence splits no further
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, (0, 17, 192), 1),
+], ids=["vit_tiny", "one_cpu", "many_cpus", "blas_unset", "blas_on_every_cpu",
+        "blas_on_half_the_cpus", "omp_count", "first_positive_count", "openblas_count_first",
+        "part_below_break_even", "part_above_break_even", "one_sequence", "empty"])
+def test_part_count(monkeypatch, cpus, env, shape, want):
+    monkeypatch.setattr(enc, "_cpus", lambda: cpus)
+    blas_env(monkeypatch, **env)
+    assert enc._parts(*shape) == want
 
 
 class TestPatchEmbed:

@@ -452,8 +452,10 @@ class TestCheckpoint:
         ("encoder", lambda v: json.dumps({k: x for k, x in json.loads(v).items() if k != "heads"})),
         ("layer_range", lambda v: json.dumps({"start": 1, "end": 5})),
         ("layer_range", lambda v: json.dumps({"start": 2, "end": 1})),
+        ("model", lambda v: json.dumps({**json.loads(v), "pool": "max"})),
+        ("model", lambda v: json.dumps({**json.loads(v), "freeze_mode": "bogus"})),
     ], ids=["missing", "not_json", "not_object", "unknown_field", "missing_field",
-            "range_past_depth", "range_reversed"])
+            "range_past_depth", "range_reversed", "unknown_pool", "unknown_freeze_mode"])
     def test_bad_metadata_raises_config_error_naming_key(self, tmp_path, key, edit):
         path = tmp_path / "model.weights"
         M.save_checkpoint(toy_model(seed=39), path)

@@ -78,6 +78,10 @@ class TestLayerNorm:
         with pytest.raises(DimensionError):
             T.layer_norm(Tensor(np.zeros((2, 8))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
 
+    def test_0d_input_raises_dimension_error(self):
+        with pytest.raises(DimensionError, match="layer_norm needs at least one axis"):
+            T.layer_norm(Tensor(1.0), Tensor(np.ones(1)), Tensor(np.zeros(1)))
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         x0 = rng.normal(size=(2, 8))
@@ -346,8 +350,10 @@ def test_every_layer_type_agrees_with_finite_differences(name):
     (lambda x: T.take(x, 5), r"index 5 is outside axis 0 of extent 4"),
     (lambda x: T.take(x, -3, axis=1), r"index -3 is outside axis 1 of extent 2"),
     (lambda x: T.take(x, 0, axis=2), r"axis 2 out of range for shape \(4, 2\)"),
+    (lambda x: T.take(x, 1.5), r"index 1.5 along axis 0 is not of integers"),
+    (lambda x: T.narrow(x, 0, 0.5, 2), r"window \[0.5, 2.5\) along axis 0 is not of integers"),
 ], ids=["narrow_past_end", "narrow_negative_start", "narrow_last_axis", "take_past_end",
-        "take_negative", "take_no_such_axis"])
+        "take_negative", "take_no_such_axis", "take_fractional", "narrow_fractional"])
 def test_narrow_and_take_refuse_what_the_axis_does_not_hold(op, match):
     with pytest.raises(DimensionError, match=match):
         op(Tensor(np.zeros((4, 2))))
@@ -358,6 +364,9 @@ def test_narrow_and_take_reach_both_ends_of_the_axis():
     np.testing.assert_array_equal(T.narrow(x, 0, 2, 2).data, x.data[2:])
     assert T.narrow(x, 0, 4, 0).shape == (0, 2)
     np.testing.assert_array_equal(T.take(x, -4).data, x.data[0])
+    # numpy integers are positions too
+    np.testing.assert_array_equal(T.take(x, np.int64(3)).data, x.data[3])
+    np.testing.assert_array_equal(T.narrow(x, 0, np.int32(1), np.int64(2)).data, x.data[1:3])
 
 
 @given(st.integers(0, 2**32 - 1))
