@@ -31,6 +31,17 @@ took 0.87 ms against 0.97 ms for the three (best of 400, one OpenBLAS thread,
 2-CPU x86-64 VM), about 1 % of a block's forward, too little to keep a second
 weight layout beside the stored one.
 
+A head that reads only the CLS row needs only that row of the slice's last
+block, so :func:`encoder_forward` with ``cls_only`` runs that block on one
+query row per sequence (the class attention of CaiT, Touvron et al. 2021):
+LN1, K and V still cover every row, since the CLS query attends to all of
+them, but Q, the scores, softmax, context, the output projection, the
+residual, LN2 and the MLP cover the CLS rows alone. In the backward the other
+rows' gradient flows through K and V only, and the weight gradients stay
+exact. The query rows use the start of buffers as large as the full block's,
+so the pool sees one set of sizes whichever block runs. Every other block,
+and the last one without ``cls_only``, runs every row.
+
 A block takes every large array it computes from a private pool of flat
 buffers, reused across steps. Fresh arrays would be freed by ``backward``
 at the end of each step, glibc would trim the freed top of the heap, and
@@ -66,7 +77,11 @@ size. k is at most 2, the only count measured, and 1 (the block runs
 inline on the calling thread and starts no thread) on one CPU, as in a
 process pinned with ``os.sched_setaffinity``; where OpenBLAS is not told
 its thread count (it then runs one thread per CPU); or for a part below
-the measured break-even. Only the calling thread records the tape op and
+the measured break-even. No part holds fewer than two query rows, which
+bounds a CLS-only block to half its sequences' count of parts: numpy hands a
+one-row product to BLAS's gemv, whose last bits differ from gemm's, while
+from two rows up each row of a gemm comes out in the same bits whatever the
+row count. Only the calling thread records the tape op and
 runs public functions. The workers run the block's numpy arithmetic, the
 ``T._ln*``, ``T._gelu_*`` and ``T._softmax`` kernels and the pool, never a
 public :mod:`vistab` function (a tracer that wraps those may keep one span
@@ -487,22 +502,24 @@ def _sum_parts(parts: tuple) -> np.ndarray | None:
     return total
 
 
-def _block(x: Tensor, layer: EncoderLayer, cfg: EncoderConfig) -> Tensor:
-    """One pre-norm block, ``x + Attn(LN1(x))`` then ``+ MLP(LN2(.))``, as one tape op.
+def _block(x: Tensor, layer: EncoderLayer, cfg: EncoderConfig, sq: int) -> Tensor:
+    """One pre-norm block, ``x + Attn(LN1(x))`` then ``+ MLP(LN2(.))``, as one tape op,
+    on the first `sq` query rows of each sequence: ``(b, s, d)`` in, ``(b, sq, d)`` out.
 
     The batch splits into k = :func:`_parts` contiguous parts of whole
     sequences, run by :func:`_block_part` on as many threads (the module
-    docstring says why that is exact). The output and the input gradient are
-    fresh arrays that each part writes its rows of; the weight gradients are
-    the sum of the parts'.
+    docstring says why that is exact), and no part holds fewer than two
+    query rows. The output and the input gradient are fresh arrays that each
+    part writes its rows of; the weight gradients are the sum of the parts'.
     """
     b, s, d = x.shape
-    k = _parts(b, s, d)
+    k = max(1, min(_parts(b, s, d), b * sq // 2))
     bounds = [b * i // k for i in range(k + 1)]
     parts = list(zip(bounds, bounds[1:]))
-    out = np.empty((b, s, d))
+    out = np.empty((b, sq, d))
     keep: list[np.ndarray] = []  # what every part's backward reads, one lease
-    backs = _spread([functools.partial(_block_part, x.data[lo:hi], layer, cfg, out[lo:hi], keep)
+    backs = _spread([functools.partial(_block_part, x.data[lo:hi], layer, cfg, sq, out[lo:hi],
+                                       keep)
                      for lo, hi in parts])
 
     def vjp(g):
@@ -518,99 +535,116 @@ def _block(x: Tensor, layer: EncoderLayer, cfg: EncoderConfig) -> Tensor:
     return T.custom(out, (x, *layer.tensors()), vjp)
 
 
-def _block_part(x: np.ndarray, layer: EncoderLayer, cfg: EncoderConfig, out: np.ndarray,
-                keep: list[np.ndarray]):
-    """The block on a ``(b, s, d)`` part of the batch: writes its output into `out` and
-    returns its backward, ``back(g, gx, lease)``, which writes the input gradient into
-    `gx` and returns the 16 weight gradients in the order of ``layer.tensors()``: fresh
-    arrays when `lease` is None, else the large ones are pool buffers appended to it.
+def _block_part(x: np.ndarray, layer: EncoderLayer, cfg: EncoderConfig, sq: int,
+                out: np.ndarray, keep: list[np.ndarray]):
+    """The block on a ``(b, s, d)`` part of the batch, for the first `sq` rows of each
+    sequence (all s, or CLS alone): writes its ``(b, sq, d)`` output into `out` and
+    returns its backward, ``back(g, gx, lease)``, which writes the ``(b, s, d)`` input
+    gradient into `gx` and returns the 16 weight gradients in the order of
+    ``layer.tensors()``: fresh arrays when `lease` is None, else the large ones are pool
+    buffers appended to it.
 
     Every product runs on 2-D ``(rows, D)`` arrays; only the per-head score
-    and context products are batched. The backward is written out by hand
-    (the attention part as in FlashAttention's backward: dP = dO V^T,
-    dS = P * (dP - rowsum(dP * P))) and computes a weight's gradient only
-    when that weight is tracked, so a frozen block costs its input gradient
-    alone. Every large array but `out`, `gx` and the weight gradients is
-    a pool buffer, leased as the module docstring describes.
+    and context products are batched. LN1, K and V cover all ``b * s`` rows;
+    everything after them covers the ``b * sq`` query rows. The backward is
+    written out by hand (the attention part as in FlashAttention's backward:
+    dP = dO V^T, dS = P * (dP - rowsum(dP * P))) and computes a weight's
+    gradient only when that weight is tracked, so a frozen block costs its
+    input gradient alone. Every large array but `out`, `gx` and the weight
+    gradients is a pool buffer of the full block's size (the query rows use
+    its start), leased as the module docstring describes.
     """
     L = layer
     b, s, d = x.shape
-    heads, dh, rows, hidden = cfg.heads, cfg.head_dim, b * s, cfg.mlp_hidden
+    heads, dh, rows, qrows, hidden = cfg.heads, cfg.head_dim, b * s, b * sq, cfg.mlp_hidden
     scale = 1.0 / math.sqrt(dh)
 
-    def split(t):  # (b*s, d) -> (b, heads, s, dh), a view
-        return t.reshape(b, s, heads, dh).transpose(0, 2, 1, 3)
+    def split(t, n):  # (b*n, d) -> (b, heads, n, dh), a view
+        return t.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def queries(t):  # (b*s, d) -> its (b*sq, d) query rows, a view (sq is 1 or s)
+        return t.reshape(b, s, d)[:, :sq].reshape(qrows, d)
+
+    def scores(lease):  # (b, heads, sq, s), the start of a full block's score buffer
+        return _POOL.take(lease, b * heads * s * s)[:b * heads * sq * s].reshape(b, heads, sq, s)
 
     tmp = []  # the forward's temporaries
     xhat1, q, k, v, ctx, xhat2 = (_POOL.take(keep, rows, d) for _ in range(6))
-    u, cdf = _POOL.take(keep, rows, hidden), _POOL.take(keep, rows, hidden)
-    p = _POOL.take(keep, b, heads, s, s)
-    x1, h = _POOL.take(tmp, rows, d), _POOL.take(tmp, rows, d)  # h: one temporary at a time
+    q, ctx, xhat2 = q[:qrows], ctx[:qrows], xhat2[:qrows]
+    u, cdf = _POOL.take(keep, rows, hidden)[:qrows], _POOL.take(keep, rows, hidden)[:qrows]
+    p = scores(keep)
+    x1, h = _POOL.take(tmp, rows, d)[:qrows], _POOL.take(tmp, rows, d)  # h: one at a time
+    hq = h[:qrows]
 
     x0 = x.reshape(rows, d)
     inv1 = T._ln(x0, xhat1, h)
     T._ln_affine(xhat1, L.ln1_gain, L.ln1_bias, h)  # h1
-    for w, bias, t in ((L.wq, L.bq, q), (L.wk, L.bk, k), (L.wv, L.bv, v)):
-        np.matmul(h, w.data, out=t)
+    for a, w, bias, t in ((queries(h), L.wq, L.bq, q), (h, L.wk, L.bk, k), (h, L.wv, L.bv, v)):
+        np.matmul(a, w.data, out=t)
         t += bias.data
-    q, k, v = split(q), split(k), split(v)
+    q, k, v = split(q, sq), split(k, s), split(v, s)
     np.matmul(q, k.swapaxes(-1, -2), out=p)
     p *= scale
     T._softmax(p, p)
-    np.matmul(p, v, out=split(ctx))
-    np.matmul(ctx, L.wo.data, out=h)  # the attention branch
-    h += L.bo.data
-    np.add(x0, h, out=x1)
+    np.matmul(p, v, out=split(ctx, sq))
+    np.matmul(ctx, L.wo.data, out=hq)  # the attention branch
+    hq += L.bo.data
+    np.add(queries(x0), hq, out=x1)
 
-    inv2 = T._ln(x1, xhat2, h)
-    T._ln_affine(xhat2, L.ln2_gain, L.ln2_bias, h)  # h2
-    np.matmul(h, L.w1.data, out=u)
+    inv2 = T._ln(x1, xhat2, hq)
+    T._ln_affine(xhat2, L.ln2_gain, L.ln2_bias, hq)  # h2
+    np.matmul(hq, L.w1.data, out=u)
     u += L.b1.data
     T._gelu_gate(u, cdf)
-    np.matmul(np.multiply(u, cdf, out=_POOL.take(tmp, rows, hidden)), L.w2.data,
-              out=h)  # the MLP branch
-    h += L.b2.data
-    np.add(x1, h, out=out.reshape(rows, d))
+    np.matmul(np.multiply(u, cdf, out=_POOL.take(tmp, rows, hidden)[:qrows]), L.w2.data,
+              out=hq)  # the MLP branch
+    hq += L.b2.data
+    np.add(x1, hq, out=out.reshape(qrows, d))
     _POOL.give(tmp)
 
     def back(g, gx, lease):
         tmp = []  # the backward's temporaries
         new = ((lambda *shape: np.empty(shape)) if lease is None
                else functools.partial(_POOL.take, lease))
-        wide, gu = _POOL.take(tmp, rows, hidden), _POOL.take(tmp, rows, hidden)
+        wide, gu = _POOL.take(tmp, rows, hidden)[:qrows], _POOL.take(tmp, rows, hidden)[:qrows]
         h, gh, gx1, gq, gk, gv = (_POOL.take(tmp, rows, d) for _ in range(6))  # h, gh: reused
-        gs, gsp = _POOL.take(tmp, b, heads, s, s), _POOL.take(tmp, b, heads, s, s)
-        gy = g.reshape(rows, d)
+        hq, ghq, gx1, gq = h[:qrows], gh[:qrows], gx1[:qrows], gq[:qrows]
+        gs, gsp = scores(tmp), scores(tmp)
+        gy = g.reshape(qrows, d)
         gw2, gb2 = _linear_grads(np.multiply(u, cdf, out=wide) if L.w2.tracked else None,
                                  gy, L.w2, L.b2, new)
         np.matmul(gy, L.w2.data.T, out=gu)
         gu *= T._gelu_slope(u, cdf, wide)
-        h2 = T._ln_affine(xhat2, L.ln2_gain, L.ln2_bias, h) if L.w1.tracked else None
+        h2 = T._ln_affine(xhat2, L.ln2_gain, L.ln2_bias, hq) if L.w1.tracked else None
         gw1, gb1 = _linear_grads(h2, gu, L.w1, L.b1, new)
-        gx1, gg2, gbb2 = T._ln_backward(np.matmul(gu, L.w1.data.T, out=gh), xhat2, inv2,
-                                        L.ln2_gain, L.ln2_bias, gx1, h)
+        gx1, gg2, gbb2 = T._ln_backward(np.matmul(gu, L.w1.data.T, out=ghq), xhat2, inv2,
+                                        L.ln2_gain, L.ln2_bias, gx1, hq)
         gx1 += gy
 
         gwo, gbo = _linear_grads(ctx, gx1, L.wo, L.bo, new)
-        gctx = split(np.matmul(gx1, L.wo.data.T, out=gh))
-        np.matmul(p.swapaxes(-1, -2), gctx, out=split(gv))
+        gctx = split(np.matmul(gx1, L.wo.data.T, out=ghq), sq)
+        np.matmul(p.swapaxes(-1, -2), gctx, out=split(gv, s))
         np.matmul(gctx, v.swapaxes(-1, -2), out=gs)
         gs -= np.multiply(gs, p, out=gsp).sum(axis=-1, keepdims=True)
         gs *= p
         gs *= scale
-        np.matmul(gs, k, out=split(gq))
-        np.matmul(gs.swapaxes(-1, -2), q, out=split(gk))
+        np.matmul(gs, k, out=split(gq, sq))
+        np.matmul(gs.swapaxes(-1, -2), q, out=split(gk, s))
         h1 = (T._ln_affine(xhat1, L.ln1_gain, L.ln1_bias, h)
               if L.wq.tracked or L.wk.tracked or L.wv.tracked else None)
-        gwq, gbq = _linear_grads(h1, gq, L.wq, L.bq, new)
+        gwq, gbq = _linear_grads(None if h1 is None else queries(h1), gq, L.wq, L.bq, new)
         gwk, gbk = _linear_grads(h1, gk, L.wk, L.bk, new)
         gwv, gbv = _linear_grads(h1, gv, L.wv, L.bv, new)
-        gh1 = np.matmul(gq, L.wq.data.T, out=gh)
-        gh1 += np.matmul(gk, L.wk.data.T, out=h)
+        # K first, then Q on the query rows: with sq == s the sum of the three is the
+        # same bits as Q + K + V, since IEEE addition commutes
+        gh1 = np.matmul(gk, L.wk.data.T, out=gh)
+        gh1q = queries(gh1)
+        gh1q += np.matmul(gq, L.wq.data.T, out=hq)
         gh1 += np.matmul(gv, L.wv.data.T, out=h)
         dx, gg1, gbb1 = T._ln_backward(gh1, xhat1, inv1, L.ln1_gain, L.ln1_bias,
                                        gx.reshape(rows, d), h)
-        dx += gx1
+        dxq = queries(dx)
+        dxq += gx1
         _POOL.give(tmp)
         return (gg1, gbb1, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
                 gg2, gbb2, gw1, gb1, gw2, gb2)
@@ -618,18 +652,26 @@ def _block_part(x: np.ndarray, layer: EncoderLayer, cfg: EncoderConfig, out: np.
     return back
 
 
-def encoder_forward(t0: Tensor, bundle: EncoderBundle, layer_range: LayerRange) -> Tensor:
+def encoder_forward(t0: Tensor, bundle: EncoderBundle, layer_range: LayerRange,
+                    cls_only: bool = False) -> Tensor:
     """Apply layers start..end-1 to a (B, S, D) batch of sequences; the final norm
-    fires only when end == depth."""
+    fires only when end == depth.
+
+    Returns (B, S, D), or with `cls_only` the CLS row alone, (B, 1, D): the last
+    block then computes only each sequence's first query row (the module docstring
+    says what it still computes for the others).
+    """
     cfg = bundle.config
     layer_range.validate(cfg.depth)
-    if t0.data.ndim != 3 or t0.shape[2] != cfg.dim:
-        raise DimensionError(f"expected (B, S, {cfg.dim}) sequences, got shape {t0.shape}")
-    if t0.shape[1] > cfg.max_seq:
-        raise CapacityError(f"sequence length {t0.shape[1]} exceeds max_seq {cfg.max_seq}")
+    if t0.data.ndim != 3 or t0.shape[2] != cfg.dim or t0.shape[1] < 1:
+        raise DimensionError(f"expected (B, S, {cfg.dim}) sequences with S >= 1, "
+                             f"got shape {t0.shape}")
+    s = t0.shape[1]
+    if s > cfg.max_seq:
+        raise CapacityError(f"sequence length {s} exceeds max_seq {cfg.max_seq}")
     x = t0
     for i in range(layer_range.start, layer_range.end):
-        x = _block(x, bundle.layers[i], cfg)
+        x = _block(x, bundle.layers[i], cfg, 1 if cls_only and i == layer_range.end - 1 else s)
     if layer_range.end == cfg.depth:
         x = T.layer_norm(x, bundle.final_gain, bundle.final_bias)
     return x

@@ -6,7 +6,10 @@ adapter layer is one ``(n, in, out)`` weight and one ``(n, 1, out)`` bias,
 saved as ``adapter.layer{j}.weight`` / ``adapter.layer{j}.bias``, so every
 view runs in the same batched ops. The token sequence [CLS, v_1..v_n] runs
 through a (possibly sliced, possibly frozen) pre-trained encoder and the
-CLS output row feeds a small classification head. Dropping the encoder
+CLS output row feeds a small classification head; with that CLS pool the
+slice's last block computes the CLS row alone (``cls_only`` of
+:func:`vistab.encoder.encoder_forward`), with the mean pool every row.
+Dropping the encoder
 entirely (``bundle=None``) degenerates to adapter -> mean pool -> head,
 which is the no-encoder ablation arm.
 """
@@ -204,7 +207,8 @@ def model_forward(x, model: VisTabNet) -> Tensor:
         rep = T.tmean(views, axis=-2)
     else:
         seq = assemble_tabular_sequence(views, model.encoder, use_pos=model.use_pos)
-        out = enc.encoder_forward(seq, model.encoder, model.layer_range)
+        out = enc.encoder_forward(seq, model.encoder, model.layer_range,
+                                  cls_only=model.pool == "cls")
         if model.pool == "mean":
             rep = T.tmean(T.narrow(out, -2, 1, views.shape[-2]), axis=-2)
         else:

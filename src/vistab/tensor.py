@@ -105,9 +105,18 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, upstream: np.ndarray) -> None:
+    """Add `g`, a vjp's gradient for `t` given `upstream`, into ``t.grad``.
+
+    A first gradient that the vjp made fresh (a float64 array that owns its data,
+    apart from `upstream`) becomes ``t.grad`` as it is; any other, a view or
+    `upstream` itself as ``add`` or ``reshape`` may return, is copied, so that no
+    two gradients share memory.
+    """
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        fresh = (type(g) is np.ndarray and g.dtype == np.float64 and g.flags.owndata
+                 and not np.may_share_memory(g, upstream))
+        t.grad = g if fresh else np.array(g, dtype=np.float64, copy=True)
     else:
         t.grad = t.grad + g
 
@@ -159,8 +168,10 @@ def custom(out: np.ndarray, inputs: Sequence[Tensor],
     ``vjp(g)`` receives d(loss)/d(out) and returns one gradient per input,
     in the order of ``inputs``, or ``None`` for an input that is not
     tracked; gradients of untracked inputs are dropped either way. It runs
-    at most once, during :func:`backward`, which accumulates (and so
-    copies) what it returns.
+    at most once, during :func:`backward`, which accumulates what it
+    returns: an input's first gradient is kept without a copy when it is an
+    array that owns its data, so such an array must be made by this call and
+    returned for one input only; views and ``g`` itself are copied.
     """
     result = Tensor(out)
     tape = _ACTIVE.tape
@@ -404,7 +415,7 @@ def backward(loss: Tensor) -> None:
         if out.grad is not None:
             for t, g in zip(inputs, vjp(out.grad)):
                 if t.tracked and g is not None:
-                    _accumulate(t, g)
+                    _accumulate(t, g, out.grad)
 
 
 def zero_grads(params: Sequence[Tensor]) -> None:

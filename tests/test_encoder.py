@@ -109,6 +109,13 @@ class TestEncoderForward:
             with pytest.raises(ContractError):
                 enc.encoder_forward(t0, bundle, LayerRange(*bad))
 
+    @pytest.mark.parametrize("cls_only", [False, True])
+    def test_empty_sequences_are_refused(self, cls_only):
+        bundle = enc.random_bundle(TOY, seed=0)
+        with pytest.raises(DimensionError, match=re.escape("(2, 0, 8)")):
+            enc.encoder_forward(Tensor(np.zeros((2, 0, 8))), bundle, LayerRange(0, 1),
+                                cls_only=cls_only)
+
     def test_batched_equals_per_sequence(self):
         bundle = enc.random_bundle(TOY, seed=9, scale=0.3)
         rng = np.random.default_rng(10)
@@ -259,12 +266,13 @@ class TestFusedBlock:
         assert all(p.grad is not None for p in bundle.layers[0].tensors())
 
 
-def pooled_model(mode, cfg=TestFusedBlock.CFG, input_dim=7, seed=50):
+def pooled_model(mode, cfg=TestFusedBlock.CFG, input_dim=7, seed=50,
+                 layer_range=LayerRange(0, 2), pool="cls"):
     """A model whose every encoder block runs on pool buffers."""
     model = M.build_model(
         M.AdapterConfig(input_dim=input_dim, n_views=cfg.max_seq - 1, out_dim=cfg.dim),
         M.HeadConfig(in_dim=cfg.dim, n_classes=3), bundle=perturbed_bundle(cfg, seed=seed),
-        layer_range=LayerRange(0, 2), seed=seed)
+        layer_range=layer_range, seed=seed, pool=pool)
     return M.set_freeze_mode(model, mode)
 
 
@@ -381,6 +389,7 @@ class TestBufferReuse:
             assert pool.allocated == warm, f"step {step}"
 
     def test_one_off_large_forward_is_freed_within_two_windows(self, monkeypatch):
+        split_in(monkeypatch, 1)  # the sizes below are an unsplit forward's, on any machine
         pool = enc._BufferPool()
         monkeypatch.setattr(enc, "_POOL", pool)
         model = pooled_model("frozen", EncoderConfig(depth=2, dim=24, heads=3, max_seq=9),
@@ -474,6 +483,77 @@ class TestBufferReuse:
         assert pool._held == sum(pool_sizes(pool))
 
 
+def every_row(monkeypatch, calls=None):
+    """Make model_forward run the encoder as without `cls_only`, every block on every
+    row; the keyword arguments of each call are appended to `calls`."""
+    forward = enc.encoder_forward
+
+    def full(t0, bundle, layer_range, **kwargs):
+        if calls is not None:
+            calls.append(kwargs)
+        return forward(t0, bundle, layer_range)
+
+    monkeypatch.setattr(enc, "encoder_forward", full)
+
+
+class TestClsOnly:
+    """With the CLS pool the slice's last block computes the CLS row alone, and with
+    the mean pool every row, as before."""
+
+    def test_encoder_returns_the_cls_row(self):
+        bundle = perturbed_bundle(TestFusedBlock.CFG, seed=90)
+        bundle.set_tracked(True)
+        rng = np.random.default_rng(91)
+        t0, mask = rng.normal(size=(4, 5, 12)), rng.normal(size=(4, 1, 12))
+        for layer_range in (LayerRange(0, 2), LayerRange(1, 3), LayerRange(2, 3)):
+            got = taped_grads(lambda x: enc.encoder_forward(x, bundle, layer_range,
+                                                            cls_only=True), t0, mask, bundle)
+            want = taped_grads(lambda x: T.narrow(enc.encoder_forward(x, bundle, layer_range),
+                                                  1, 0, 1), t0, mask, bundle)
+            assert got[0].shape == (4, 1, 12)
+            np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-10, atol=1e-14)
+            for g, w in zip(got[2], want[2]):
+                assert (g is None) == (w is None)
+                if w is not None:
+                    np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("batch", [1, 2, 16])
+    @pytest.mark.parametrize("layer_range", [LayerRange(0, 2), LayerRange(1, 3)],
+                             ids=["inner", "to_depth"])
+    @pytest.mark.parametrize("mode", ["frozen", "fine_tune"])
+    def test_model_matches_the_full_path(self, monkeypatch, mode, layer_range, batch):
+        model = pooled_model(mode, seed=92, layer_range=layer_range)
+        rng = np.random.default_rng(93)
+        X, y = rng.normal(size=(batch, 7)), rng.integers(0, 3, batch)
+        got = step_results(model, X, y)
+        every_row(monkeypatch)
+        want = step_results(model, X, y)
+
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+        assert [g is None for g in got[2]] == [w is None for w in want[2]]
+        for g, w in zip(got[2], want[2]):
+            if w is not None:
+                # attn.k.bias gets an exact zero, here about 1e-16
+                np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("mode", ["frozen", "fine_tune"])
+    def test_mean_pool_runs_every_row_bit_for_bit(self, monkeypatch, mode):
+        model = pooled_model(mode, seed=94, pool="mean")
+        rng = np.random.default_rng(95)
+        X, y = rng.normal(size=(9, 7)), rng.integers(0, 3, 9)
+        want = step_results(model, X, y)
+        calls = []
+        every_row(monkeypatch, calls)
+        got = step_results(model, X, y)
+
+        assert len(calls) == 2 and not any(c.get("cls_only") for c in calls)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert_bit_identical(got[2], want[2])
+
+
 def split_in(monkeypatch, k):
     """Make every block split its batch in k parts (or b, when fewer), whatever the
     machine, the environment and the block's size."""
@@ -526,6 +606,24 @@ class TestBatchSplit:
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
             else:
                 assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("batch, k, want", [
+        (2, 2, [2]), (3, 2, [3]), (4, 2, [2, 2]), (5, 3, [2, 3]), (7, 3, [2, 2, 3])])
+    def test_cls_only_parts_hold_two_sequences(self, monkeypatch, batch, k, want):
+        # a one-row product goes to gemv, whose last bits differ from gemm's
+        split_in(monkeypatch, k)
+        sizes = []
+        part = enc._block_part
+
+        def recorded(x, layer, cfg, sq, *rest):
+            if sq == 1:
+                sizes.append(len(x))
+            return part(x, layer, cfg, sq, *rest)
+
+        monkeypatch.setattr(enc, "_block_part", recorded)
+        M.model_forward(np.random.default_rng(96).normal(size=(batch, 7)),
+                        pooled_model("frozen", seed=97))
+        assert sorted(sizes) == want
 
     def test_public_functions_run_on_the_calling_thread_only(self, monkeypatch):
         monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -637,6 +735,21 @@ class TestBatchSplit:
                                    M.HeadConfig(in_dim=12, n_classes=3), seed=77)
         threads = set(threading.enumerate())
         grads_of(no_encoder, record(no_encoder, X, y)[0])
+        assert enc._workers.cache_info().currsize == 0
+        assert set(threading.enumerate()) <= threads
+
+    def test_no_affinity_call_counts_one_cpu(self, monkeypatch):
+        enc._workers.cache_clear()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        blas_env(monkeypatch, OPENBLAS_NUM_THREADS="1")
+        assert enc._cpus() == 1
+        assert enc._parts(16, 17, 192) == 1  # frozen_train's blocks, split on two CPUs
+        cfg = EncoderConfig(depth=2, dim=192, heads=3, mlp_ratio=2, max_seq=17)
+        model = pooled_model("frozen", cfg, seed=98)
+        rng = np.random.default_rng(99)
+        X, y = rng.normal(size=(16, 7)), rng.integers(0, 3, 16)
+        threads = set(threading.enumerate())
+        grads_of(model, record(model, X, y)[0])
         assert enc._workers.cache_info().currsize == 0
         assert set(threading.enumerate()) <= threads
 

@@ -293,6 +293,32 @@ class TestBackward:
         backward(loss)
         np.testing.assert_allclose(x.grad, [7.0])  # 2x + 3
 
+    def test_fresh_first_gradient_is_kept_without_a_copy(self):
+        x = Tensor(np.ones(3), tracked=True)
+        made = []
+
+        def vjp(g):
+            made.append(g * 2.0)
+            return (made[-1],)
+
+        with Tape():
+            loss = T.tsum(T.custom(x.data * 2.0, (x,), vjp))
+        backward(loss)
+        assert x.grad is made[0]
+
+    def test_passed_on_and_viewed_gradients_are_copied(self):
+        # add hands its upstream gradient to both inputs; reshape and swap_axes view it
+        a, b = Tensor(np.ones((2, 3)), tracked=True), Tensor(np.ones((2, 3)), tracked=True)
+        c = Tensor(np.ones(6), tracked=True)
+        with Tape():
+            loss = T.tsum(T.add(T.add(a, b), T.swap_axes(T.reshape(c, (3, 2)), 0, 1)))
+        backward(loss)
+        grads = [a.grad, b.grad, c.grad]
+        for i, g in enumerate(grads):
+            np.testing.assert_array_equal(g, 1.0)
+            assert g.flags.owndata
+            assert not any(np.may_share_memory(g, other) for other in grads[i + 1:])
+
 
 class TestFiniteDiff:
     def test_quadratic(self):
