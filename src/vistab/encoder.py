@@ -25,7 +25,9 @@ Each block runs in plain numpy on 2-D ``(rows, D)`` arrays, on the LayerNorm,
 GELU and softmax kernels of :mod:`vistab.tensor` that the generic ops share, and
 records one op on the tape (:func:`vistab.tensor.custom`), with a hand-written
 backward that skips the gradients of untracked weights, so a frozen slice costs
-only its input gradient. Q, K and V stay three ``(D, D)`` products on purpose: on
+only its input gradient. Every array a block makes is a fresh numpy array
+(the C allocator settings in :mod:`vistab.tensor` let a step reuse the memory
+the last one freed). Q, K and V stay three ``(D, D)`` products on purpose: on
 ``(272, 192)`` rows (batch 16, 17 tokens, ViT-Tiny width) one ``(D, 3D)`` product
 took 0.87 ms against 0.97 ms for the three (best of 400, one OpenBLAS thread,
 2-CPU x86-64 VM), about 1 % of a block's forward, too little to keep a second
@@ -38,39 +40,17 @@ LN1, K and V still cover every row, since the CLS query attends to all of
 them, but Q, the scores, softmax, context, the output projection, the
 residual, LN2 and the MLP cover the CLS rows alone. In the backward the other
 rows' gradient flows through K and V only, and the weight gradients stay
-exact. The query rows use the start of buffers as large as the full block's,
-so the pool sees one set of sizes whichever block runs. Every other block,
-and the last one without ``cls_only``, runs every row.
-
-A block takes every large array it computes from a private pool of flat
-buffers, reused across steps. Fresh arrays would be freed by ``backward``
-at the end of each step, glibc would trim the freed top of the heap, and
-the next step would fault the same pages back in: about 5,100 minor faults
-and a fifth of a frozen ViT-Tiny step's time. The lifetime rule:
-
-- a buffer the backward reads is leased to that op until its vjp closure
-  is released, i.e. when ``backward`` pops the record, at once when the
-  forward ran untaped, or when the cycle collector frees a tape whose loss
-  never reached ``backward``;
-- a forward temporary returns at the end of the forward, a backward
-  temporary at the end of the vjp;
-- the block's output and the gradients it returns are fresh arrays, so
-  pool memory never escapes: tapes may overlap, outputs may be held, and
-  untaped forwards may run on several threads, also while another
-  thread holds a tape open.
-
-The pool does not keep a one-off working set for good: it frees idle
-buffers beyond the most it lent out at once over a window of takes (see
-:class:`_BufferPool`).
+exact. Every other block, and the last one without ``cls_only``, runs every
+row.
 
 A block may split its batch into k contiguous parts of whole sequences
 and run them on as many threads: the calling thread runs the first,
 worker threads made at the first split run the others, and the backward
 splits the same way. Attention mixes only the tokens of one sequence, so
 each part's rows get the whole batch's arithmetic, bit for bit; only the
-weight gradients, the sum of the parts' (the later parts' are backward
-temporaries), can differ in the last bit. The split only pays where each
-thread has enough work and a CPU to itself, so :func:`_parts` takes k from
+weight gradients, the sum of the parts', can differ in the last bit. The
+split only pays where each thread has enough work and a CPU to itself, so
+:func:`_parts` takes k from
 what the block can observe, each time it runs: the CPUs in the process's
 affinity mask, the threads the environment gives OpenBLAS, and the part's
 size. k is at most 2, the only count measured, and 1 (the block runs
@@ -81,25 +61,22 @@ the measured break-even. No part holds fewer than two query rows, which
 bounds a CLS-only block to half its sequences' count of parts: numpy hands a
 one-row product to BLAS's gemv, whose last bits differ from gemm's, while
 from two rows up each row of a gemm comes out in the same bits whatever the
-row count. Only the calling thread records the tape op and
-runs public functions. The workers run the block's numpy arithmetic, the
-``T._ln*``, ``T._gelu_*`` and ``T._softmax`` kernels and the pool, never a
-public :mod:`vistab` function (a tracer that wraps those may keep one span
-stack for the process), and never give work to the workers themselves,
-so no worker waits on another.
+row count. Only the calling thread records the tape op and runs public
+functions. The workers run the block's numpy arithmetic and the ``T._ln*``,
+``T._gelu_*`` and ``T._softmax`` kernels, never a public :mod:`vistab`
+function (a tracer that wraps those may keep one span stack for the
+process), and never give work to the workers themselves, so no worker waits
+on another.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import hashlib
 import json
 import math
 import os
-import threading
 import typing
-import weakref
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
@@ -338,95 +315,14 @@ def assemble_sequence(tokens: Tensor, bundle: EncoderBundle, use_pos: bool = Tru
     return seq
 
 
-class _BufferPool:
-    """Flat float64 buffers, lent out as shaped views and matched by capacity.
-
-    :meth:`take` views the smallest idle buffer that holds the shape, or a
-    new one when none does, so a short batch reuses a full batch's buffers.
-    At the end of each window of :attr:`window` takes the pool frees idle
-    buffers, longest idle first, until it holds no more than the most it
-    lent out at once in that window. A one-off large forward, or a working
-    set no longer used, is thus freed one to two windows later (12 to 25
-    steps of a two-block slice whose blocks split in two, each part taking
-    its own buffers, and 25 to 50 unsplit), while a window still spans an
-    evaluation pass of a few hundred rows between two training steps; a
-    longer pass costs one step's page faults once.
-
-    Only :meth:`take` holds the lock. :meth:`give` runs from vjp
-    finalizers, which the cycle collector may call anywhere, inside
-    ``take`` too, so it only appends to a list that ``take`` sorts in.
-    """
-
-    window = 1024
-
-    def __init__(self):
-        self._idle: list[tuple[np.ndarray, int]] = []  # (buffer, takes when it came back), by size
-        self._given: list[np.ndarray] = []  # given back, not yet in _idle
-        self._lock = threading.Lock()
-        self._takes = 0
-        self._leased = self._held = 0  # floats lent out (or given, not sorted in) / in all buffers
-        self._peak = 0  # the most lent out at once in this window
-        self.allocated = 0  # buffers made so far
-
-    def take(self, lease: list[np.ndarray], *shape: int) -> np.ndarray:
-        """A ``shape`` view of a buffer, which is appended to `lease`."""
-        n = math.prod(shape)
-        with self._lock:
-            while self._given:
-                buf = self._given.pop()
-                self._leased -= buf.size
-                bisect.insort_left(self._idle, (buf, self._takes), key=_entry_size)
-            i = bisect.bisect_left(self._idle, n, key=_entry_size)
-            if i < len(self._idle):
-                buf = self._idle.pop(i)[0]
-            else:
-                buf = np.empty(n)
-                self._held += n
-                self.allocated += 1
-            self._leased += buf.size
-            self._peak = max(self._peak, self._leased)
-            self._takes += 1
-            if self._takes % self.window == 0:
-                self._trim()
-        lease.append(buf)
-        return buf[:n].reshape(shape)
-
-    def _trim(self) -> None:
-        """Free idle buffers, longest idle first, down to the window's peak lease."""
-        excess, self._peak = self._held - self._peak, self._leased
-        if excess <= 0:
-            return
-        freed = set()
-        for buf, _ in sorted(self._idle, key=lambda e: e[1]):
-            if excess <= 0:
-                break
-            freed.add(id(buf))
-            excess -= buf.size
-            self._held -= buf.size
-        self._idle = [e for e in self._idle if id(e[0]) not in freed]
-
-    def give(self, lease: list[np.ndarray]) -> None:
-        """Give every buffer of `lease` back; takes no lock (list.extend is atomic)."""
-        self._given.extend(lease)
-        lease.clear()
-
-
-def _entry_size(entry: tuple[np.ndarray, int]) -> int:
-    return entry[0].size
-
-
-_POOL = _BufferPool()
-
-
-def _linear_grads(a: np.ndarray | None, g: np.ndarray, w: Tensor, bias: Tensor,
-                  new) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(weight, bias) gradients of ``a @ w + bias``, each only when tracked; the weight's
-    goes into ``new(*w.shape)``.
+def _linear_grads(a: np.ndarray | None, g: np.ndarray, w: Tensor,
+                  bias: Tensor) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(weight, bias) gradients of ``a @ w + bias``, each only when tracked.
 
     ``a`` may be None when ``w`` is not tracked: the inputs that only weight
     gradients need are recomputed in the backward, and only then.
     """
-    return (np.matmul(a.T, g, out=new(*w.shape)) if w.tracked else None,
+    return (np.matmul(a.T, g) if w.tracked else None,
             g.sum(axis=0) if bias.tracked else None)
 
 
@@ -517,32 +413,25 @@ def _block(x: Tensor, layer: EncoderLayer, cfg: EncoderConfig, sq: int) -> Tenso
     bounds = [b * i // k for i in range(k + 1)]
     parts = list(zip(bounds, bounds[1:]))
     out = np.empty((b, sq, d))
-    keep: list[np.ndarray] = []  # what every part's backward reads, one lease
-    backs = _spread([functools.partial(_block_part, x.data[lo:hi], layer, cfg, sq, out[lo:hi],
-                                       keep)
+    backs = _spread([functools.partial(_block_part, x.data[lo:hi], layer, cfg, sq, out[lo:hi])
                      for lo, hi in parts])
 
     def vjp(g):
         gx = np.empty((b, s, d))
-        summed = []  # the pool buffers of the later parts' weight gradients
-        grads = _spread([functools.partial(back, g[lo:hi], gx[lo:hi], summed if i else None)
-                         for i, (back, (lo, hi)) in enumerate(zip(backs, parts))])
-        grads = tuple(map(_sum_parts, zip(*grads)))
-        _POOL.give(summed)
-        return (gx, *grads)  # the order of (x, *layer.tensors())
+        grads = _spread([functools.partial(back, g[lo:hi], gx[lo:hi])
+                         for back, (lo, hi) in zip(backs, parts)])
+        return (gx, *map(_sum_parts, zip(*grads)))  # the order of (x, *layer.tensors())
 
-    weakref.finalize(vjp, _POOL.give, keep)
     return T.custom(out, (x, *layer.tensors()), vjp)
 
 
 def _block_part(x: np.ndarray, layer: EncoderLayer, cfg: EncoderConfig, sq: int,
-                out: np.ndarray, keep: list[np.ndarray]):
+                out: np.ndarray):
     """The block on a ``(b, s, d)`` part of the batch, for the first `sq` rows of each
     sequence (all s, or CLS alone): writes its ``(b, sq, d)`` output into `out` and
-    returns its backward, ``back(g, gx, lease)``, which writes the ``(b, s, d)`` input
-    gradient into `gx` and returns the 16 weight gradients in the order of
-    ``layer.tensors()``: fresh arrays when `lease` is None, else the large ones are pool
-    buffers appended to it.
+    returns its backward, ``back(g, gx)``, which writes the ``(b, s, d)`` input
+    gradient into `gx` and returns the 16 weight gradients, fresh arrays, in the order
+    of ``layer.tensors()``.
 
     Every product runs on 2-D ``(rows, D)`` arrays; only the per-head score
     and context products are batched. LN1, K and V cover all ``b * s`` rows;
@@ -550,9 +439,7 @@ def _block_part(x: np.ndarray, layer: EncoderLayer, cfg: EncoderConfig, sq: int,
     written out by hand (the attention part as in FlashAttention's backward:
     dP = dO V^T, dS = P * (dP - rowsum(dP * P))) and computes a weight's
     gradient only when that weight is tracked, so a frozen block costs its
-    input gradient alone. Every large array but `out`, `gx` and the weight
-    gradients is a pool buffer of the full block's size (the query rows use
-    its start), leased as the module docstring describes.
+    input gradient alone.
     """
     L = layer
     b, s, d = x.shape
@@ -565,15 +452,10 @@ def _block_part(x: np.ndarray, layer: EncoderLayer, cfg: EncoderConfig, sq: int,
     def queries(t):  # (b*s, d) -> its (b*sq, d) query rows, a view (sq is 1 or s)
         return t.reshape(b, s, d)[:, :sq].reshape(qrows, d)
 
-    def scores(lease):  # (b, heads, sq, s), the start of a full block's score buffer
-        return _POOL.take(lease, b * heads * s * s)[:b * heads * sq * s].reshape(b, heads, sq, s)
-
-    tmp = []  # the forward's temporaries
-    xhat1, q, k, v, ctx, xhat2 = (_POOL.take(keep, rows, d) for _ in range(6))
-    q, ctx, xhat2 = q[:qrows], ctx[:qrows], xhat2[:qrows]
-    u, cdf = _POOL.take(keep, rows, hidden)[:qrows], _POOL.take(keep, rows, hidden)[:qrows]
-    p = scores(keep)
-    x1, h = _POOL.take(tmp, rows, d)[:qrows], _POOL.take(tmp, rows, d)  # h: one at a time
+    xhat1, k, v, h = (np.empty((rows, d)) for _ in range(4))  # h: scratch, reused
+    q, ctx, xhat2, x1 = (np.empty((qrows, d)) for _ in range(4))
+    u, cdf = np.empty((qrows, hidden)), np.empty((qrows, hidden))
+    p = np.empty((b, heads, sq, s))
     hq = h[:qrows]
 
     x0 = x.reshape(rows, d)
@@ -596,32 +478,28 @@ def _block_part(x: np.ndarray, layer: EncoderLayer, cfg: EncoderConfig, sq: int,
     np.matmul(hq, L.w1.data, out=u)
     u += L.b1.data
     T._gelu_gate(u, cdf)
-    np.matmul(np.multiply(u, cdf, out=_POOL.take(tmp, rows, hidden)[:qrows]), L.w2.data,
-              out=hq)  # the MLP branch
+    np.matmul(u * cdf, L.w2.data, out=hq)  # the MLP branch
     hq += L.b2.data
     np.add(x1, hq, out=out.reshape(qrows, d))
-    _POOL.give(tmp)
 
-    def back(g, gx, lease):
-        tmp = []  # the backward's temporaries
-        new = ((lambda *shape: np.empty(shape)) if lease is None
-               else functools.partial(_POOL.take, lease))
-        wide, gu = _POOL.take(tmp, rows, hidden)[:qrows], _POOL.take(tmp, rows, hidden)[:qrows]
-        h, gh, gx1, gq, gk, gv = (_POOL.take(tmp, rows, d) for _ in range(6))  # h, gh: reused
-        hq, ghq, gx1, gq = h[:qrows], gh[:qrows], gx1[:qrows], gq[:qrows]
-        gs, gsp = scores(tmp), scores(tmp)
+    def back(g, gx):
+        wide, gu = np.empty((qrows, hidden)), np.empty((qrows, hidden))
+        h, gh, gk, gv = (np.empty((rows, d)) for _ in range(4))  # h, gh: scratch, reused
+        gx1, gq = np.empty((qrows, d)), np.empty((qrows, d))
+        gs, gsp = np.empty((b, heads, sq, s)), np.empty((b, heads, sq, s))
+        hq, ghq = h[:qrows], gh[:qrows]
         gy = g.reshape(qrows, d)
         gw2, gb2 = _linear_grads(np.multiply(u, cdf, out=wide) if L.w2.tracked else None,
-                                 gy, L.w2, L.b2, new)
+                                 gy, L.w2, L.b2)
         np.matmul(gy, L.w2.data.T, out=gu)
         gu *= T._gelu_slope(u, cdf, wide)
         h2 = T._ln_affine(xhat2, L.ln2_gain, L.ln2_bias, hq) if L.w1.tracked else None
-        gw1, gb1 = _linear_grads(h2, gu, L.w1, L.b1, new)
+        gw1, gb1 = _linear_grads(h2, gu, L.w1, L.b1)
         gx1, gg2, gbb2 = T._ln_backward(np.matmul(gu, L.w1.data.T, out=ghq), xhat2, inv2,
                                         L.ln2_gain, L.ln2_bias, gx1, hq)
         gx1 += gy
 
-        gwo, gbo = _linear_grads(ctx, gx1, L.wo, L.bo, new)
+        gwo, gbo = _linear_grads(ctx, gx1, L.wo, L.bo)
         gctx = split(np.matmul(gx1, L.wo.data.T, out=ghq), sq)
         np.matmul(p.swapaxes(-1, -2), gctx, out=split(gv, s))
         np.matmul(gctx, v.swapaxes(-1, -2), out=gs)
@@ -632,9 +510,9 @@ def _block_part(x: np.ndarray, layer: EncoderLayer, cfg: EncoderConfig, sq: int,
         np.matmul(gs.swapaxes(-1, -2), q, out=split(gk, s))
         h1 = (T._ln_affine(xhat1, L.ln1_gain, L.ln1_bias, h)
               if L.wq.tracked or L.wk.tracked or L.wv.tracked else None)
-        gwq, gbq = _linear_grads(None if h1 is None else queries(h1), gq, L.wq, L.bq, new)
-        gwk, gbk = _linear_grads(h1, gk, L.wk, L.bk, new)
-        gwv, gbv = _linear_grads(h1, gv, L.wv, L.bv, new)
+        gwq, gbq = _linear_grads(None if h1 is None else queries(h1), gq, L.wq, L.bq)
+        gwk, gbk = _linear_grads(h1, gk, L.wk, L.bk)
+        gwv, gbv = _linear_grads(h1, gv, L.wv, L.bv)
         # K first, then Q on the query rows: with sq == s the sum of the three is the
         # same bits as Q + K + V, since IEEE addition commutes
         gh1 = np.matmul(gk, L.wk.data.T, out=gh)
@@ -645,7 +523,6 @@ def _block_part(x: np.ndarray, layer: EncoderLayer, cfg: EncoderConfig, sq: int,
                                        gx.reshape(rows, d), h)
         dxq = queries(dx)
         dxq += gx1
-        _POOL.give(tmp)
         return (gg1, gbb1, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
                 gg2, gbb2, gw1, gb1, gw2, gb2)
 

@@ -17,12 +17,25 @@ immutable from this module's point of view and safe to share.
 
 The LayerNorm, GELU and softmax rules are each stated once, in the ``_ln*``,
 ``_gelu_*`` and ``_softmax`` kernels. They work on plain arrays, write into
-buffers the caller passes (fresh ones from the ops here, pool buffers from the
-encoder's fused ``_block``) and record nothing.
+buffers the caller passes (from the ops here and the encoder's fused
+``_block``) and record nothing.
+
+Allocation: importing this module sets glibc's malloc thresholds once, for
+the whole process, to their documented ceiling (mallopt(3)): arrays below
+32 MiB (on 64-bit) come from the heap, and free memory at its top is given
+back to the OS only beyond 64 MiB. With glibc's dynamic defaults, which stop
+at the largest chunk freed so far, the heap top a step frees at ``backward``
+is trimmed and the next step's fresh arrays fault the same pages in again,
+thousands of minor faults a step. The setting is the C library's, so it
+holds for every allocation of the process that imports ``vistab``, a host
+program's and other libraries' included, and up to 64 MiB of freed heap
+may stay resident. Where the C library has no ``mallopt`` (macOS, Windows)
+nothing is set.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
 import threading
@@ -35,6 +48,23 @@ from .errors import ContractError, DimensionError, TapeError, class_labels
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _fix_malloc_thresholds() -> None:
+    """Set M_MMAP_THRESHOLD to glibc's DEFAULT_MMAP_THRESHOLD_MAX and M_TRIM_THRESHOLD
+    to twice that, where the C library has ``mallopt`` (see the module docstring)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    ceiling = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+    mallopt(-3, ceiling)  # M_MMAP_THRESHOLD
+    mallopt(-1, 2 * ceiling)  # M_TRIM_THRESHOLD
+
+
+_fix_malloc_thresholds()
 
 
 class _ThreadState(threading.local):
@@ -364,9 +394,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 
     def vjp(g):
         g = g.reshape(-1, d)
-        gx, gg, gb = _ln_backward(g, xhat, inv_std, gain, bias,
-                                  np.empty_like(g) if x.tracked else None, np.empty_like(g))
-        return (None if gx is None else gx.reshape(x.shape), gg, gb)
+        gx = np.empty(x.shape) if x.tracked else None  # x's shape, so backward keeps it
+        _, gg, gb = _ln_backward(g, xhat, inv_std, gain, bias,
+                                 None if gx is None else gx.reshape(-1, d), np.empty_like(g))
+        return (gx, gg, gb)
 
     return custom(_ln_affine(xhat, gain, bias, np.empty_like(xhat)).reshape(x.shape),
                   (x, gain, bias), vjp)

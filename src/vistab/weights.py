@@ -33,24 +33,23 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray],
     header: dict[str, object] = {}
     if metadata:
         header["__metadata__"] = {str(k): str(v) for k, v in sorted(metadata.items())}
-    blobs = []
+    arrays = []
     offset = 0
     for name in names:
-        arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
-        raw = arr.astype("<f8", copy=False).tobytes()
+        arr = np.ascontiguousarray(tensors[name], dtype="<f8")  # a copy only when it must
         header[name] = {
             "dtype": _DTYPE,
             "shape": list(arr.shape),
-            "data_offsets": [offset, offset + len(raw)],
+            "data_offsets": [offset, offset + arr.nbytes],
         }
-        blobs.append(raw)
-        offset += len(raw)
+        arrays.append(arr)
+        offset += arr.nbytes
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for raw in blobs:
-            fh.write(raw)
+        for arr in arrays:
+            fh.write(arr.data)
 
 
 def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str]]:

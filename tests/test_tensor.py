@@ -82,6 +82,22 @@ class TestLayerNorm:
         with pytest.raises(DimensionError, match="layer_norm needs at least one axis"):
             T.layer_norm(Tensor(1.0), Tensor(np.ones(1)), Tensor(np.zeros(1)))
 
+    def test_3d_input_gradient_is_kept_without_a_copy(self, monkeypatch):
+        x = Tensor(np.random.default_rng(4).normal(size=(2, 3, 4)), tracked=True)
+        returned = {}
+        accumulate = T._accumulate
+
+        def recorded(t, g, upstream):
+            returned[id(t)] = g
+            accumulate(t, g, upstream)
+
+        monkeypatch.setattr(T, "_accumulate", recorded)
+        with Tape():
+            loss = T.tsum(T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4))))
+        backward(loss)
+        assert x.grad is returned[id(x)]  # the vjp's own array, not a copy of a view
+        assert x.grad.shape == (2, 3, 4) and x.grad.flags.owndata
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         x0 = rng.normal(size=(2, 8))
