@@ -81,7 +81,10 @@ class TabularDataset:
         return len(self._y)
 
     def take(self, indices) -> "TabularDataset":
-        idx = np.asarray(indices, dtype=np.int64)
+        """The rows at `indices`, a 1-D sequence of whole numbers in ``[0, len(self))``."""
+        idx = class_labels(indices, len(self), "row index")
+        if idx.ndim != 1:
+            raise ContractError(f"row indices must be 1-D, got shape {idx.shape}")
         return TabularDataset(self.X[idx], self.y[idx], self.column_kinds,
                               self.class_count, self.categories, name=self.name,
                               label_names=self.label_names)
@@ -124,6 +127,8 @@ def load_csv(path: str | Path, schema: dict | str | Path,
     if not isinstance(kinds_decl, (list, dict)):
         raise ConfigError(f"schema 'kinds' must be a list or an object, got {kinds_decl!r}")
     header = schema.get("header", True)
+    if type(header) is not bool:
+        raise ConfigError(f"schema 'header' must be true or false, got {header!r}")
     path = Path(path)
 
     with path.open(newline="") as fh:
@@ -272,6 +277,8 @@ def oversample(train: TabularDataset, seed: int = 0) -> TabularDataset:
 
 def nshot_subsample(train: TabularDataset, shots: int, seed: int = 0) -> TabularDataset:
     """Exactly `shots` rows per class, drawn without replacement."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ContractError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ContractError(f"shots must be at least 1, got {shots}")
     per_class = train.class_indices()

@@ -315,6 +315,13 @@ def assemble_sequence(tokens: Tensor, bundle: EncoderBundle, use_pos: bool = Tru
     return seq
 
 
+def _linear(a: np.ndarray, w: Tensor, bias: Tensor) -> np.ndarray:
+    """``a @ w + bias`` as one fresh array, the bias added in place."""
+    out = a @ w.data
+    out += bias.data
+    return out
+
+
 def _linear_grads(a: np.ndarray | None, g: np.ndarray, w: Tensor,
                   bias: Tensor) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(weight, bias) gradients of ``a @ w + bias``, each only when tracked.
@@ -443,7 +450,7 @@ def _block_part(x: np.ndarray, layer: EncoderLayer, cfg: EncoderConfig, sq: int,
     """
     L = layer
     b, s, d = x.shape
-    heads, dh, rows, qrows, hidden = cfg.heads, cfg.head_dim, b * s, b * sq, cfg.mlp_hidden
+    heads, dh, rows, qrows = cfg.heads, cfg.head_dim, b * s, b * sq
     scale = 1.0 / math.sqrt(dh)
 
     def split(t, n):  # (b*n, d) -> (b, heads, n, dh), a view
@@ -452,75 +459,60 @@ def _block_part(x: np.ndarray, layer: EncoderLayer, cfg: EncoderConfig, sq: int,
     def queries(t):  # (b*s, d) -> its (b*sq, d) query rows, a view (sq is 1 or s)
         return t.reshape(b, s, d)[:, :sq].reshape(qrows, d)
 
-    xhat1, k, v, h = (np.empty((rows, d)) for _ in range(4))  # h: scratch, reused
-    q, ctx, xhat2, x1 = (np.empty((qrows, d)) for _ in range(4))
-    u, cdf = np.empty((qrows, hidden)), np.empty((qrows, hidden))
-    p = np.empty((b, heads, sq, s))
-    hq = h[:qrows]
+    def per_head(a, c, n):  # a @ c per head, written straight into fresh (b*n, d) rows
+        t = np.empty((b * n, d))
+        np.matmul(a, c, out=split(t, n))
+        return t
 
     x0 = x.reshape(rows, d)
-    inv1 = T._ln(x0, xhat1, h)
-    T._ln_affine(xhat1, L.ln1_gain, L.ln1_bias, h)  # h1
-    for a, w, bias, t in ((queries(h), L.wq, L.bq, q), (h, L.wk, L.bk, k), (h, L.wv, L.bv, v)):
-        np.matmul(a, w.data, out=t)
-        t += bias.data
-    q, k, v = split(q, sq), split(k, s), split(v, s)
-    np.matmul(q, k.swapaxes(-1, -2), out=p)
-    p *= scale
-    T._softmax(p, p)
-    np.matmul(p, v, out=split(ctx, sq))
-    np.matmul(ctx, L.wo.data, out=hq)  # the attention branch
-    hq += L.bo.data
-    np.add(queries(x0), hq, out=x1)
-
-    inv2 = T._ln(x1, xhat2, hq)
-    T._ln_affine(xhat2, L.ln2_gain, L.ln2_bias, hq)  # h2
-    np.matmul(hq, L.w1.data, out=u)
-    u += L.b1.data
-    T._gelu_gate(u, cdf)
-    np.matmul(u * cdf, L.w2.data, out=hq)  # the MLP branch
-    hq += L.b2.data
-    np.add(x1, hq, out=out.reshape(qrows, d))
+    xhat1, inv1 = T._ln(x0)
+    h1 = T._ln_affine(xhat1, L.ln1_gain, L.ln1_bias)
+    q = split(_linear(queries(h1), L.wq, L.bq), sq)
+    k = split(_linear(h1, L.wk, L.bk), s)
+    v = split(_linear(h1, L.wv, L.bv), s)
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= scale
+    p = T._softmax(scores)
+    ctx = per_head(p, v, sq)
+    x1 = queries(x0) + _linear(ctx, L.wo, L.bo)  # + the attention branch
+    xhat2, inv2 = T._ln(x1)
+    u = _linear(T._ln_affine(xhat2, L.ln2_gain, L.ln2_bias), L.w1, L.b1)
+    cdf = T._gelu_gate(u)
+    np.add(x1, _linear(u * cdf, L.w2, L.b2), out=out.reshape(qrows, d))  # + the MLP
 
     def back(g, gx):
-        wide, gu = np.empty((qrows, hidden)), np.empty((qrows, hidden))
-        h, gh, gk, gv = (np.empty((rows, d)) for _ in range(4))  # h, gh: scratch, reused
-        gx1, gq = np.empty((qrows, d)), np.empty((qrows, d))
-        gs, gsp = np.empty((b, heads, sq, s)), np.empty((b, heads, sq, s))
-        hq, ghq = h[:qrows], gh[:qrows]
         gy = g.reshape(qrows, d)
-        gw2, gb2 = _linear_grads(np.multiply(u, cdf, out=wide) if L.w2.tracked else None,
-                                 gy, L.w2, L.b2)
-        np.matmul(gy, L.w2.data.T, out=gu)
-        gu *= T._gelu_slope(u, cdf, wide)
-        h2 = T._ln_affine(xhat2, L.ln2_gain, L.ln2_bias, hq) if L.w1.tracked else None
+        gw2, gb2 = _linear_grads(u * cdf if L.w2.tracked else None, gy, L.w2, L.b2)
+        gu = gy @ L.w2.data.T
+        gu *= T._gelu_slope(u, cdf)
+        h2 = T._ln_affine(xhat2, L.ln2_gain, L.ln2_bias) if L.w1.tracked else None
         gw1, gb1 = _linear_grads(h2, gu, L.w1, L.b1)
-        gx1, gg2, gbb2 = T._ln_backward(np.matmul(gu, L.w1.data.T, out=ghq), xhat2, inv2,
-                                        L.ln2_gain, L.ln2_bias, gx1, hq)
+        gx1, gg2, gbb2 = T._ln_backward(gu @ L.w1.data.T, xhat2, inv2, L.ln2_gain,
+                                        L.ln2_bias, np.empty((qrows, d)))
         gx1 += gy
 
         gwo, gbo = _linear_grads(ctx, gx1, L.wo, L.bo)
-        gctx = split(np.matmul(gx1, L.wo.data.T, out=ghq), sq)
-        np.matmul(p.swapaxes(-1, -2), gctx, out=split(gv, s))
-        np.matmul(gctx, v.swapaxes(-1, -2), out=gs)
-        gs -= np.multiply(gs, p, out=gsp).sum(axis=-1, keepdims=True)
+        gctx = split(gx1 @ L.wo.data.T, sq)
+        gv = per_head(p.swapaxes(-1, -2), gctx, s)
+        gs = gctx @ v.swapaxes(-1, -2)  # the scores' gradient, built in place
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
         gs *= p
         gs *= scale
-        np.matmul(gs, k, out=split(gq, sq))
-        np.matmul(gs.swapaxes(-1, -2), q, out=split(gk, s))
-        h1 = (T._ln_affine(xhat1, L.ln1_gain, L.ln1_bias, h)
+        gq = per_head(gs, k, sq)
+        gk = per_head(gs.swapaxes(-1, -2), q, s)
+        h1 = (T._ln_affine(xhat1, L.ln1_gain, L.ln1_bias)
               if L.wq.tracked or L.wk.tracked or L.wv.tracked else None)
         gwq, gbq = _linear_grads(None if h1 is None else queries(h1), gq, L.wq, L.bq)
         gwk, gbk = _linear_grads(h1, gk, L.wk, L.bk)
         gwv, gbv = _linear_grads(h1, gv, L.wv, L.bv)
         # K first, then Q on the query rows: with sq == s the sum of the three is the
         # same bits as Q + K + V, since IEEE addition commutes
-        gh1 = np.matmul(gk, L.wk.data.T, out=gh)
+        gh1 = gk @ L.wk.data.T
         gh1q = queries(gh1)
-        gh1q += np.matmul(gq, L.wq.data.T, out=hq)
-        gh1 += np.matmul(gv, L.wv.data.T, out=h)
+        gh1q += gq @ L.wq.data.T
+        gh1 += gv @ L.wv.data.T
         dx, gg1, gbb1 = T._ln_backward(gh1, xhat1, inv1, L.ln1_gain, L.ln1_bias,
-                                       gx.reshape(rows, d), h)
+                                       gx.reshape(rows, d))
         dxq = queries(dx)
         dxq += gx1
         return (gg1, gbb1, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,

@@ -63,7 +63,7 @@ def class_labels(labels, n_classes: int, what: str = "label") -> np.ndarray:
     not a whole number in ``[0, n_classes)``, so a float label is never truncated."""
     raw = np.asarray(labels)
     if raw.dtype.kind not in "biuf":
-        raise ContractError(f"{what}s must be numbers, got dtype {raw.dtype}")
+        raise ContractError(f"{what} values must be numbers, got dtype {raw.dtype}")
     bad = raw[(raw < 0) | (raw >= n_classes) | (raw != np.floor(raw))]
     if bad.size:
         raise ContractError(f"{what} {bad[0]} is not a whole number in [0, {n_classes})")

@@ -16,9 +16,11 @@ without waiting for the cycle collector. Tensors not attached to a tape are
 immutable from this module's point of view and safe to share.
 
 The LayerNorm, GELU and softmax rules are each stated once, in the ``_ln*``,
-``_gelu_*`` and ``_softmax`` kernels. They work on plain arrays, write into
-buffers the caller passes (from the ops here and the encoder's fused
-``_block``) and record nothing.
+``_gelu_*`` and ``_softmax`` kernels, which the ops here and the encoder's
+fused ``_block`` share. They work on plain arrays, record nothing and return
+fresh arrays, updated in place where an operation need not make another one.
+Fresh arrays cost no page faults from one step to the next: see the
+allocation paragraph below.
 
 Allocation: importing this module sets glibc's malloc thresholds once, for
 the whole process, to their documented ceiling (mallopt(3)): arrays below
@@ -299,81 +301,80 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
 
 def tmean(x: Tensor, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
+    if axis is not None and not -x.data.ndim <= axis < x.data.ndim:
+        raise DimensionError(f"axis {axis} out of range for shape {x.shape}")
     count = x.size if axis is None else x.shape[axis]
+    if count == 0:
+        raise DimensionError(f"mean over axis {axis} of shape {x.shape} covers no element")
     return mul(tsum(x, axis=axis), 1.0 / count)
 
 
-def _ln(x: np.ndarray, xhat: np.ndarray, scratch: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Write x's standardized rows (population variance) into `xhat`; return their inverse
-    standard deviations. `scratch` is a buffer of x's shape."""
-    np.subtract(x, x.mean(axis=-1, keepdims=True), out=xhat)
-    inv_std = 1.0 / np.sqrt(np.multiply(xhat, xhat, out=scratch).mean(axis=-1, keepdims=True)
-                            + eps)
+def _ln(x: np.ndarray, eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """x's standardized rows (population variance) and their inverse standard deviations."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
     xhat *= inv_std
-    return inv_std
+    return xhat, inv_std
 
 
 def _ln_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gain: Tensor,
-                 bias: Tensor, dx: np.ndarray | None, scratch: np.ndarray) -> tuple:
+                 bias: Tensor, dx: np.ndarray | None) -> tuple:
     """(input, gain, bias) gradients of ``xhat * gain + bias`` over 2-D rows. The input's
-    goes into `dx`, or is None when `dx` is; the gain's and the bias's are None when not
-    tracked. `scratch` is a buffer of g's shape."""
+    is written into `dx`, or is None when `dx` is; the gain's and the bias's are None
+    when not tracked."""
     if dx is not None:
-        dxhat = np.multiply(g, gain.data, out=scratch)
+        dxhat = g * gain.data
         np.subtract(dxhat, dxhat.mean(axis=-1, keepdims=True), out=dx)
         dxhat *= xhat
-        dx -= np.multiply(xhat, dxhat.mean(axis=-1, keepdims=True), out=scratch)
+        dx -= xhat * dxhat.mean(axis=-1, keepdims=True)
         dx *= inv_std
-    return (dx, np.multiply(g, xhat, out=scratch).sum(axis=0) if gain.tracked else None,
+    return (dx, (g * xhat).sum(axis=0) if gain.tracked else None,
             g.sum(axis=0) if bias.tracked else None)
 
 
-def _ln_affine(xhat: np.ndarray, gain: Tensor, bias: Tensor, out: np.ndarray) -> np.ndarray:
-    """Write ``xhat * gain + bias``, the LayerNorm output, into `out` and return it."""
-    np.multiply(xhat, gain.data, out=out)
+def _ln_affine(xhat: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
+    """``xhat * gain + bias``, the LayerNorm output."""
+    out = xhat * gain.data
     out += bias.data
     return out
 
 
-def _gelu_gate(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the GELU gate Phi(u), the exact normal CDF, into `out` and return it."""
-    erf(np.multiply(u, _INV_SQRT2, out=out), out=out)
-    out += 1.0
-    out *= 0.5
-    return out
+def _gelu_gate(u: np.ndarray) -> np.ndarray:
+    """The GELU gate Phi(u), the exact normal CDF."""
+    cdf = np.asarray(u * _INV_SQRT2)  # an array also for a 0-d u, so erf can write into it
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
 
 
-def _gelu_slope(u: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write GELU'(u) = Phi(u) + u * phi(u) into `out`, given ``cdf`` = Phi(u); return it."""
-    np.multiply(u, u, out=out)
-    out *= -0.5
-    np.exp(out, out=out)
-    out *= _INV_SQRT_2PI
-    out *= u
-    out += cdf
-    return out
+def _gelu_slope(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """GELU'(u) = Phi(u) + u * phi(u), given ``cdf`` = Phi(u)."""
+    slope = np.exp(u * u * -0.5)
+    slope *= _INV_SQRT_2PI
+    slope *= u
+    slope += cdf
+    return slope
 
 
-def _softmax(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the max-shifted softmax of x's rows into `out`, which may be `x`; return it."""
-    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """The max-shifted softmax of x's rows."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the exact normal CDF (erf form)."""
     x = _as_tensor(x)
-    cdf = _gelu_gate(x.data, np.empty_like(x.data))
-    return custom(x.data * cdf, (x,),
-                  lambda g: (g * _gelu_slope(x.data, cdf, np.empty_like(x.data)),))
+    cdf = _gelu_gate(x.data)
+    return custom(x.data * cdf, (x,), lambda g: (g * _gelu_slope(x.data, cdf),))
 
 
 def softmax(x: Tensor) -> Tensor:
     """Row-stochastic softmax over the last axis, stabilized by max-subtraction."""
     x = _as_tensor(x)
-    p = _softmax(x.data, np.empty_like(x.data))
+    p = _softmax(x.data)
     return custom(p, (x,), lambda g: ((g - (g * p).sum(axis=-1, keepdims=True)) * p,))
 
 
@@ -388,18 +389,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
                              f"got {gain.shape} and {bias.shape}")
     if eps <= 0:
         raise ContractError("layer_norm eps must be positive")
-    rows = x.data.reshape(-1, d)
-    xhat = np.empty_like(rows)
-    inv_std = _ln(rows, xhat, np.empty_like(rows), eps)
+    xhat, inv_std = _ln(x.data.reshape(-1, d), eps)
 
     def vjp(g):
-        g = g.reshape(-1, d)
         gx = np.empty(x.shape) if x.tracked else None  # x's shape, so backward keeps it
-        _, gg, gb = _ln_backward(g, xhat, inv_std, gain, bias,
-                                 None if gx is None else gx.reshape(-1, d), np.empty_like(g))
+        _, gg, gb = _ln_backward(g.reshape(-1, d), xhat, inv_std, gain, bias,
+                                 None if gx is None else gx.reshape(-1, d))
         return (gx, gg, gb)
 
-    return custom(_ln_affine(xhat, gain, bias, np.empty_like(xhat)).reshape(x.shape),
+    return custom(_ln_affine(xhat, gain, bias).reshape(x.shape),
                   (x, gain, bias), vjp)
 
 
@@ -409,6 +407,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if logits.data.ndim != 2:
         raise DimensionError(f"cross_entropy expects B x K logits, got {logits.shape}")
     b, k = logits.shape
+    if b == 0:
+        raise DimensionError(f"cross_entropy needs at least one logit row, got {logits.shape}")
     y = class_labels(labels, k)
     if y.shape != (b,):
         raise DimensionError(f"expected {b} labels, got shape {y.shape}")
@@ -416,7 +416,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=-1)) + logits.data.max(axis=-1)
 
     def vjp(g):
-        p = _softmax(logits.data, np.empty((b, k)))
+        p = _softmax(logits.data)
         p[np.arange(b), y] -= 1.0
         return (float(g) * p / b,)
 

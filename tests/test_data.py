@@ -35,7 +35,10 @@ def test_finite_numeric_cells_parse(tmp_path):
     ({"label": "label", "kinds": "numeric"}, "'kinds'"),
     ({"label": "label", "kinds": ["numeric", "numeric", "numeric"]}, "'kinds'"),
     (["label"], "JSON object"),
-], ids=["no_label", "kinds_not_list_or_object", "more_kinds_than_columns", "not_object"])
+    ({"label": "label", "header": "false"}, "'header'"),
+    ({"label": "label", "header": 0}, "'header'"),
+], ids=["no_label", "kinds_not_list_or_object", "more_kinds_than_columns", "not_object",
+        "header_text", "header_number"])
 def test_bad_schema_raises_config_error_naming_key(tmp_path, schema, key):
     csv_path = tmp_path / "t.csv"
     csv_path.write_text("a,label\n1.0,yes\n2.0,no\n")
@@ -164,6 +167,34 @@ def test_nshot_subsample_takes_exactly_shots_per_class(counts, shots, seed):
 def test_nshot_subsample_needs_at_least_one_shot(shots):
     with pytest.raises(ContractError, match=f"at least 1, got {shots}"):
         D.nshot_subsample(labelled([4, 4]), shots)
+
+
+@pytest.mark.parametrize("shots", [1.5, 2.0, "2", True])
+def test_nshot_subsample_refuses_a_shot_count_that_is_not_an_integer(shots):
+    with pytest.raises(ContractError, match=f"shots must be an integer, got {shots!r}"):
+        D.nshot_subsample(labelled([4, 4]), shots)
+
+
+def test_nshot_subsample_takes_a_numpy_integer_shot_count():
+    assert len(D.nshot_subsample(labelled([4, 4]), np.int64(2))) == 4
+
+
+@pytest.mark.parametrize("indices, match", [
+    ([5], "row index 5 is not a whole number in \\[0, 3\\)"),
+    ([0, 0.5], "row index 0.5 "),
+    ([1, -1], "row index -1 "),
+    ([[0, 1]], "row indices must be 1-D, got shape \\(1, 2\\)"),
+    (1, "row indices must be 1-D, got shape \\(\\)"),
+], ids=["past_end", "fraction", "negative", "2d", "0d"])
+def test_take_refuses_bad_row_indices(indices, match):
+    with pytest.raises(ContractError, match=match):
+        labelled([2, 1]).take(indices)
+
+
+def test_take_keeps_rows_in_the_order_given():
+    part = labelled([2, 1]).take([2, 0, 0])
+    assert rows(part) == [2, 0, 0] and part.y.tolist() == [1, 0, 0]
+    assert len(labelled([2, 1]).take([])) == 0
 
 
 @given(st.lists(st.integers(1, 60), min_size=2, max_size=6), st.integers(0, 2**32 - 1))

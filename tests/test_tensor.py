@@ -401,6 +401,20 @@ def test_narrow_and_take_refuse_what_the_axis_does_not_hold(op, match):
         op(Tensor(np.zeros((4, 2))))
 
 
+@pytest.mark.parametrize("op, match", [
+    (lambda: T.tmean(Tensor(np.zeros(0))), r"mean over axis None of shape \(0,\) covers no"),
+    (lambda: T.tmean(Tensor(np.zeros((2, 0))), axis=-1),
+     r"mean over axis -1 of shape \(2, 0\) covers no"),
+    (lambda: T.tmean(Tensor(3.0), axis=0), r"axis 0 out of range for shape \(\)"),
+    (lambda: T.cross_entropy(Tensor(np.zeros((0, 3))), []),
+     r"at least one logit row, got \(0, 3\)"),
+], ids=["mean_of_nothing", "mean_over_an_empty_axis", "mean_over_a_0d_axis",
+        "cross_entropy_of_no_rows"])
+def test_mean_and_cross_entropy_refuse_an_input_without_elements(op, match):
+    with pytest.raises(DimensionError, match=match):
+        op()
+
+
 def test_narrow_and_take_reach_both_ends_of_the_axis():
     x = Tensor(np.arange(8.0).reshape(4, 2))
     np.testing.assert_array_equal(T.narrow(x, 0, 2, 2).data, x.data[2:])
