@@ -18,9 +18,11 @@ evaluation.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from .errors import (ConfigError, ContractError, CsvParseError, StateError,
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 _MISSING = ("", "?")  # cell texts, after stripping, that mark a missing cell
+_AS_NAN = dict.fromkeys(_MISSING, "nan")  # a missing numeric cell, as np.loadtxt reads it
 
 
 class TabularDataset:
@@ -82,7 +85,10 @@ class TabularDataset:
 
     def take(self, indices) -> "TabularDataset":
         """The rows at `indices`, a 1-D sequence of whole numbers in ``[0, len(self))``."""
-        idx = class_labels(indices, len(self), "row index")
+        idx = np.asarray(indices)
+        if idx.dtype.kind == "b":  # class_labels would read a mask as rows 1 and 0
+            raise ContractError(f"row indices must be whole numbers, got dtype {idx.dtype}")
+        idx = class_labels(idx, len(self), "row index")
         if idx.ndim != 1:
             raise ContractError(f"row indices must be 1-D, got shape {idx.shape}")
         return TabularDataset(self.X[idx], self.y[idx], self.column_kinds,
@@ -109,6 +115,52 @@ def _number(text: str, row: int, col: int) -> float:
     return value
 
 
+def _picker(cols: list[int]):
+    """A function giving a row's cells at `cols` as a tuple."""
+    if len(cols) == 1:  # itemgetter gives a bare cell for one index
+        col, = cols
+        return lambda row: (row[col],)
+    return itemgetter(*cols) if cols else lambda row: ()
+
+
+def _numbers(rows: list[tuple[str, ...]], lines: list[str], missing: int,
+             cols: list[int], first_row: int) -> np.ndarray:
+    """The (n, k) grid of the numeric cells `rows`, n tuples of the k file columns `cols`.
+
+    ``lines`` holds each row's cells joined with ``,``, a missing cell written as
+    ``nan``, and ``missing`` counts those cells. One ``np.loadtxt`` call parses them,
+    with the conversion ``float()`` uses. Its grid is kept only if it has the shape,
+    holds no inf and holds no NaN but the missing cells. Otherwise (a bad cell, or a
+    cell ``_number`` reads and ``loadtxt`` does not, such as ``1_000`` or ``" ? "``)
+    ``_number`` parses each cell, column by column, so the error names the first bad
+    cell of the leftmost bad column.
+    """
+    n, k = len(rows), len(cols)
+    if k:
+        try:
+            grid = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                              dtype=np.float64, ndmin=2)
+        except ValueError:
+            grid = None
+        if (grid is not None and grid.shape == (n, k) and not np.isinf(grid).any()
+                and np.count_nonzero(np.isnan(grid)) == missing):
+            return grid
+    grid = np.empty((n, k))
+    for j, (col, cells) in enumerate(zip(cols, zip(*rows))):
+        grid[:, j] = [_number(t, line, col) for line, t in enumerate(cells, first_row)]
+    return grid
+
+
+def _codes(cells: tuple[str, ...], missing: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct stripped texts of `cells` but `missing`, and each cell's
+    index among them (NaN for a missing cell)."""
+    stripped = {t: t.strip() for t in set(cells)}
+    names = sorted(set(stripped.values()).difference(missing))
+    index = {name: i for i, name in enumerate(names)}
+    code = {t: index.get(s, math.nan) for t, s in stripped.items()}
+    return names, np.fromiter(map(code.__getitem__, cells), np.float64, len(cells))
+
+
 def load_csv(path: str | Path, schema: dict | str | Path,
              name: str | None = None) -> TabularDataset:
     """Read a CSV file with a JSON schema declaring column kinds and label.
@@ -116,8 +168,14 @@ def load_csv(path: str | Path, schema: dict | str | Path,
     Schema keys: ``label`` (column name, or 0-based index when there is no
     header), ``kinds`` (name -> "numeric"/"categorical" mapping, or a list
     in file order), ``header`` (default true). Cells "" and "?" are missing.
-    The file is parsed a column at a time, so with several bad cells the
-    error names the first bad cell of the leftmost bad column.
+
+    ``csv.reader`` is the one tokenizer. One pass over its rows checks each
+    row's width and keeps the row's numeric cells, also joined into one line,
+    and its text cells (categories and label). One ``np.loadtxt`` call then
+    parses all numeric lines (see ``_numbers``); a block it refuses is parsed a
+    cell at a time, so with several bad cells the error names the first bad
+    cell of the leftmost bad column. A row of the wrong width is reported
+    before any bad cell.
     """
     if isinstance(schema, (str, Path)):
         schema = json.loads(Path(schema).read_text())
@@ -132,59 +190,67 @@ def load_csv(path: str | Path, schema: dict | str | Path,
     path = Path(path)
 
     with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise CsvParseError(f"{path}: file is empty")
-
-    if header:
-        columns = [c.strip() for c in rows[0]]
-        body = rows[1:]
-        first_row = 2  # 1-based file line of the first data row
-    else:
-        columns = [str(i) for i in range(len(rows[0]))]
-        body = rows
-        first_row = 1
-    if not body:
-        raise CsvParseError(f"{path}: no data rows")
-
-    label = schema["label"]
-    label_col = str(label) if not header else label
-    if label_col not in columns:
-        raise CsvParseError(f"{path}: label column {label!r} not found")
-    label_idx = columns.index(label_col)
-
-    if isinstance(kinds_decl, list):
-        if len(kinds_decl) > len(columns):
-            raise ConfigError(f"schema 'kinds' has {len(kinds_decl)} entries for "
-                              f"{len(columns)} columns")
-        kinds_by_col = dict(zip(columns, kinds_decl))
-    else:
-        kinds_by_col = dict(kinds_decl)
-    feature_idx = [i for i in range(len(columns)) if i != label_idx]
-    kinds = [kinds_by_col.get(columns[i], CATEGORICAL) for i in feature_idx]
-    for i, kind in zip(feature_idx, kinds):
-        if kind not in (NUMERIC, CATEGORICAL):
-            raise CsvParseError(f"{path}: column {columns[i]!r} has unknown kind {kind!r}")
-
-    for line, row in enumerate(body, first_row):
-        if len(row) != len(columns):
-            raise CsvParseError(
-                f"{path}: row {line} has {len(row)} cells, expected {len(columns)}")
-
-    X = np.empty((len(body), len(feature_idx)), dtype=np.float64)
-    categories = {}
-    for j, (col, kind) in enumerate(zip(feature_idx, kinds)):
-        if kind == NUMERIC:
-            X[:, j] = [_number(row[col], line, col) for line, row in enumerate(body, first_row)]
+        rows = csv.reader(fh)
+        head = next(rows, None)
+        if head is None:
+            raise CsvParseError(f"{path}: file is empty")
+        first = next(rows, None) if header else head
+        if first is None:
+            raise CsvParseError(f"{path}: no data rows")
+        if header:
+            columns = [c.strip() for c in head]
+            first_row = 2  # 1-based file line of the first data row
         else:
-            cells = [row[col].strip() for row in body]
-            categories[j] = sorted(set(cells).difference(_MISSING))
-            code = {name: i for i, name in enumerate(categories[j])}
-            X[:, j] = [code.get(t, math.nan) for t in cells]
-    labels = [row[label_idx].strip() for row in body]
-    vocab = sorted(set(labels))
-    code = {name: i for i, name in enumerate(vocab)}
-    return TabularDataset(X, [code[t] for t in labels], kinds, len(vocab), categories,
+            columns = [str(i) for i in range(len(head))]
+            first_row = 1
+
+        label = schema["label"]
+        label_col = str(label) if not header else label
+        if label_col not in columns:
+            raise CsvParseError(f"{path}: label column {label!r} not found")
+        label_idx = columns.index(label_col)
+
+        if isinstance(kinds_decl, list):
+            if len(kinds_decl) > len(columns):
+                raise ConfigError(f"schema 'kinds' has {len(kinds_decl)} entries for "
+                                  f"{len(columns)} columns")
+            kinds_by_col = dict(zip(columns, kinds_decl))
+        else:
+            kinds_by_col = dict(kinds_decl)
+        feature_idx = [i for i in range(len(columns)) if i != label_idx]
+        kinds = [kinds_by_col.get(columns[i], CATEGORICAL) for i in feature_idx]
+        for i, kind in zip(feature_idx, kinds):
+            if kind not in (NUMERIC, CATEGORICAL):
+                raise CsvParseError(f"{path}: column {columns[i]!r} has unknown kind {kind!r}")
+
+        numeric_idx = [i for i, kind in zip(feature_idx, kinds) if kind == NUMERIC]
+        text_idx = [i for i, kind in zip(feature_idx, kinds) if kind != NUMERIC] + [label_idx]
+        numeric_cells, text_cells = _picker(numeric_idx), _picker(text_idx)
+        numbers, lines, texts, missing = [], [], [], 0
+        same = {}  # one str per distinct text: coding then reads a few objects, not one a cell
+        for line, row in enumerate(itertools.chain([first], rows), first_row):
+            if len(row) != len(columns):
+                raise CsvParseError(
+                    f"{path}: row {line} has {len(row)} cells, expected {len(columns)}")
+            cells = numeric_cells(row)
+            numbers.append(cells)
+            gaps = sum(map(cells.count, _MISSING))
+            if gaps:
+                missing += gaps
+                cells = map(_AS_NAN.get, cells, cells)
+            lines.append(",".join(cells))
+            cells = text_cells(row)
+            texts.append(tuple(map(same.setdefault, cells, cells)))
+
+    X = np.empty((len(texts), len(feature_idx)), dtype=np.float64)
+    X[:, [j for j, kind in enumerate(kinds) if kind == NUMERIC]] = _numbers(
+        numbers, lines, missing, numeric_idx, first_row)
+    *category_cells, label_cells = zip(*texts)
+    categories = {}
+    for j, cells in zip([j for j, kind in enumerate(kinds) if kind != NUMERIC], category_cells):
+        categories[j], X[:, j] = _codes(cells, _MISSING)
+    vocab, y = _codes(label_cells, ())
+    return TabularDataset(X, y, kinds, len(vocab), categories,
                           name=name or path.stem, label_names=vocab)
 
 

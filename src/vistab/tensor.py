@@ -166,12 +166,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _axis(shape: tuple[int, ...], axis) -> int:
+    """`axis` as an axis of a `shape` array; :class:`DimensionError` unless it is one."""
+    try:
+        axis = operator.index(axis)
+    except TypeError:
+        raise DimensionError(f"axis {axis!r} is not an integer") from None
+    if not -len(shape) <= axis < len(shape):
+        raise DimensionError(f"axis {axis} out of range for shape {shape}")
+    return axis
+
+
 def _along(shape: tuple[int, ...], axis: int, at) -> tuple:
     """The index that picks `at` (an integer or a slice of integers) along `axis` of a
     `shape` array; :class:`DimensionError` unless the axis holds it (a slice within
     [0, extent])."""
-    if not -len(shape) <= axis < len(shape):
-        raise DimensionError(f"axis {axis} out of range for shape {shape}")
+    axis = _axis(shape, axis)
     what = f"window [{at.start}, {at.stop})" if isinstance(at, slice) else f"index {at}"
     try:
         at = (slice(operator.index(at.start), operator.index(at.stop))
@@ -295,14 +305,16 @@ def expand_leading(x: Tensor, n: int) -> Tensor:
 
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
+    if axis is not None:
+        axis = _axis(x.shape, axis)
     return custom(x.data.sum(axis=axis), (x,), lambda g: (np.broadcast_to(
         g if axis is None else np.expand_dims(g, axis), x.shape).copy(),))
 
 
 def tmean(x: Tensor, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
-    if axis is not None and not -x.data.ndim <= axis < x.data.ndim:
-        raise DimensionError(f"axis {axis} out of range for shape {x.shape}")
+    if axis is not None:
+        axis = _axis(x.shape, axis)
     count = x.size if axis is None else x.shape[axis]
     if count == 0:
         raise DimensionError(f"mean over axis {axis} of shape {x.shape} covers no element")
@@ -374,6 +386,8 @@ def gelu(x: Tensor) -> Tensor:
 def softmax(x: Tensor) -> Tensor:
     """Row-stochastic softmax over the last axis, stabilized by max-subtraction."""
     x = _as_tensor(x)
+    if x.data.ndim and x.shape[-1] == 0:
+        raise DimensionError(f"softmax needs a non-empty last axis, got shape {x.shape}")
     p = _softmax(x.data)
     return custom(p, (x,), lambda g: ((g - (g * p).sum(axis=-1, keepdims=True)) * p,))
 

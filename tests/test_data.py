@@ -3,6 +3,7 @@ import json
 import math
 import re
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -185,7 +186,8 @@ def test_nshot_subsample_takes_a_numpy_integer_shot_count():
     ([1, -1], "row index -1 "),
     ([[0, 1]], "row indices must be 1-D, got shape \\(1, 2\\)"),
     (1, "row indices must be 1-D, got shape \\(\\)"),
-], ids=["past_end", "fraction", "negative", "2d", "0d"])
+    ([True, False, True], "row indices must be whole numbers, got dtype bool"),
+], ids=["past_end", "fraction", "negative", "2d", "0d", "mask"])
 def test_take_refuses_bad_row_indices(indices, match):
     with pytest.raises(ContractError, match=match):
         labelled([2, 1]).take(indices)
@@ -286,14 +288,24 @@ def test_literal_missing_text_is_a_category_of_its_own(tmp_path):
 
 
 def padded(texts):
-    return st.tuples(st.sampled_from(["", " ", "  "]), texts, st.sampled_from(["", " "])).map(
-        "".join)
+    pads = ["", " ", "  ", "\xa0", "\u3000"]
+    return st.tuples(st.sampled_from(pads), texts, st.sampled_from(pads)).map("".join)
 
 
-number_texts = padded(st.one_of(st.sampled_from(["", "?"]),
-                                st.integers(-400, 400).map(lambda k: repr(k / 8))))
-category_texts = padded(st.sampled_from(["", "?", "a", "b", "x y", "<missing>"]))
-label_texts = padded(st.sampled_from(["yes", "no", "<missing>"]))
+def number_texts(bad: bool):
+    """Numeric cells: missing ones, plain and exotic numbers ``float()`` reads (some of
+    which ``np.loadtxt`` refuses), and with `bad`, cells that are no finite number."""
+    cells = ["", "?", "1e3", "-2.5E-2", "1_000", "\u0661\u0662", "2\n", "\n"]
+    if bad:
+        cells += ["1,5", "x", "nan", "-inf", "1e999"]
+    return padded(st.one_of(st.sampled_from(cells),
+                            st.integers(-400, 400).map(lambda k: repr(k / 8))))
+
+
+# csv reads a NUL character only since Python 3.11
+category_texts = padded(st.sampled_from(["", "?", "a", "b", "x y", "<missing>", "a,b", "x\ny",
+                                         "nan"] + ["d\x00"] * (sys.version_info >= (3, 11))))
+label_texts = padded(st.sampled_from(["yes", "no", "<missing>", "a,b"]))
 
 
 @st.composite
@@ -301,7 +313,7 @@ def csv_tables(draw):
     """Column kinds, the label's file column and the text rows of a CSV body."""
     kinds = draw(st.lists(st.sampled_from([D.NUMERIC, D.CATEGORICAL]), min_size=1, max_size=4))
     label_at = draw(st.integers(0, len(kinds)))
-    text = {D.NUMERIC: number_texts, D.CATEGORICAL: category_texts}
+    text = {D.NUMERIC: number_texts(draw(st.booleans())), D.CATEGORICAL: category_texts}
     body = []
     for _ in range(draw(st.integers(1, 10))):
         row = [draw(text[k]) for k in kinds]
@@ -310,30 +322,69 @@ def csv_tables(draw):
     return kinds, label_at, body
 
 
+def write_csv(path, rows):
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
 @given(csv_tables())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_load_csv_reads_each_cell_like_a_per_cell_reference(tmp_path_factory, table):
     kinds, label_at, body = table
     columns = [f"c{i}" for i in range(len(kinds) + 1)]
-    csv_path = tmp_path_factory.mktemp("load") / "t.csv"
-    with csv_path.open("w", newline="") as fh:
-        csv.writer(fh).writerows([columns] + body)
+    csv_path = write_csv(tmp_path_factory.mktemp("load") / "t.csv", [columns] + body)
     features = [c for i, c in enumerate(columns) if i != label_at]
-    ds = D.load_csv(csv_path, {"label": columns[label_at], "kinds": dict(zip(features, kinds))})
+    schema = {"label": columns[label_at], "kinds": dict(zip(features, kinds))}
 
     want_X = np.empty((len(body), len(kinds)))
     want_categories = {}
+    error = None  # the first bad cell of the leftmost bad column
     for j, kind in enumerate(kinds):
-        cells = [[t for i, t in enumerate(row) if i != label_at][j].strip() for row in body]
+        col = j + (j >= label_at)
+        cells = [row[col].strip() for row in body]
         if kind == D.NUMERIC:
-            want_X[:, j] = [math.nan if t in ("", "?") else float(t) for t in cells]
+            for line, t in enumerate(cells, 2):
+                try:
+                    value = math.nan if t in ("", "?") else float(t)
+                except ValueError:
+                    error = error or f"row {line}: column {col} expected a number, got {t!r}"
+                    continue
+                if math.isnan(value) and t not in ("", "?") or math.isinf(value):
+                    error = error or (f"row {line}: column {col} expected a finite number, "
+                                      f"got {t!r}")
+                want_X[line - 2, j] = value
         else:
             names = sorted({t for t in cells if t not in ("", "?")})
             want_categories[j] = names
             want_X[:, j] = [names.index(t) if t in names else math.nan for t in cells]
+    if error:
+        with pytest.raises(CsvParseError) as info:
+            D.load_csv(csv_path, schema)
+        assert str(info.value) == error
+        return
+    ds = D.load_csv(csv_path, schema)
     labels = [row[label_at].strip() for row in body]
     np.testing.assert_array_equal(ds.X, want_X)
     assert ds.categories == want_categories
     assert ds.column_kinds == kinds
     assert ds.label_names == sorted(set(labels))
     assert ds.y.tolist() == [ds.label_names.index(t) for t in labels]
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([["1", "x", "yes"], ["y", "2", "no"]], "row 3: column 0 expected a number, got 'y'"),
+    ([["1", "inf", "yes"], ["nan", "2", "no"]],
+     "row 3: column 0 expected a finite number, got 'nan'"),
+    ([["1", "2", "yes"], ["1", "x", "no"], ["y", "2", "no"]],
+     "row 4: column 0 expected a number, got 'y'"),
+    ([["x", "2", "yes"], ["1", "2"]], "row 3 has 2 cells, expected 3"),
+    ([["x", "y", "yes"], ["1", "2", "no", "extra"], ["1", "2"]],
+     "row 3 has 4 cells, expected 3"),
+], ids=["bad_left_column_in_a_later_row", "non_finite_left_column_in_a_later_row",
+        "left_column_wins_in_a_long_file", "short_row_after_a_bad_cell",
+        "first_wrong_width_row"])
+def test_load_csv_reports_the_first_error_in_reading_order(tmp_path, rows, error):
+    csv_path = write_csv(tmp_path / "t.csv", [["a", "b", "label"]] + rows)
+    with pytest.raises(CsvParseError, match=re.escape(error)):
+        D.load_csv(csv_path, {"label": "label", "kinds": {"a": "numeric", "b": "numeric"}})

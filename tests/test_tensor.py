@@ -415,6 +415,21 @@ def test_mean_and_cross_entropy_refuse_an_input_without_elements(op, match):
         op()
 
 
+@pytest.mark.parametrize("op, match", [
+    (lambda x: T.tsum(x, axis=5), r"axis 5 out of range for shape \(2, 3\)"),
+    (lambda x: T.tsum(x, axis=-3), r"axis -3 out of range for shape \(2, 3\)"),
+    (lambda x: T.tsum(x, axis=(0, 1)), r"axis \(0, 1\) is not an integer"),
+    (lambda x: T.tmean(x, axis=(0, 1)), r"axis \(0, 1\) is not an integer"),
+    (lambda x: T.tmean(x, axis=1.0), r"axis 1.0 is not an integer"),
+    (lambda x: T.softmax(T.narrow(x, 1, 0, 0)),
+     r"softmax needs a non-empty last axis, got shape \(2, 0\)"),
+], ids=["sum_past_last_axis", "sum_before_first_axis", "sum_tuple_axis", "mean_tuple_axis",
+        "mean_float_axis", "softmax_empty_last_axis"])
+def test_sum_mean_and_softmax_refuse_an_axis_the_tensor_lacks(op, match):
+    with pytest.raises(DimensionError, match=match):
+        op(Tensor(np.zeros((2, 3))))
+
+
 def test_narrow_and_take_reach_both_ends_of_the_axis():
     x = Tensor(np.arange(8.0).reshape(4, 2))
     np.testing.assert_array_equal(T.narrow(x, 0, 2, 2).data, x.data[2:])

@@ -8,12 +8,18 @@ a cross-entropy step for dims 24, 64 and 192 × the cls and mean pools × frozen
 fine_tune × layer ranges (0, 2) and (1, 3) of a depth-3 encoder × batches 1, 2, 16
 and 33 × the block split (``encoder._parts``) as the environment sets it, forced to 1
 and forced to 2. Run it with ``OPENBLAS_NUM_THREADS`` unset and set to 1 (large
-blocks then split on their own). ``compare`` lists the arrays whose bits differ or
-that one file lacks, and exits 1 if there are any.
+blocks then split on their own). It also writes ``X``, ``y``, the categories and
+the label names that ``data.load_csv`` reads from the benchmark generator's CSVs
+for the ``frozen_train`` (2,000 rows) and ``ingest_noenc`` (100,000 rows) shapes,
+seeds 1 to 3. ``compare`` lists the arrays whose bits differ or that one file
+lacks, and exits 1 if there are any.
 """
 
 import itertools
+import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -55,8 +61,32 @@ def dump(path: str) -> None:
                     if p.grad is not None:
                         out[f"{key}{group}.{i}"] = p.grad
     enc._parts = natural
+    out.update(csv_loads())
     np.savez(path, **out)
     print(f"{len(out)} arrays written to {path}")
+
+
+def csv_loads() -> dict[str, np.ndarray]:
+    """What ``load_csv`` reads from generated CSVs; names and categories as JSON text."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from bench_gen import generate
+    from bench_job import WORKLOADS
+
+    from vistab import data as D
+    from vistab import encoder as enc
+
+    out = {}
+    tiny = enc.EncoderConfig(depth=1, dim=12, heads=3, max_seq=9)  # the CSV ignores it
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload, seed in itertools.product(("frozen_train", "ingest_noenc"), (1, 2, 3)):
+            files = generate(Path(tmp) / f"{workload}-{seed}", WORKLOADS[workload].data,
+                             tiny, seed)
+            ds = D.load_csv(files.csv, files.schema)
+            key = f"csv-{workload}-s{seed}/"
+            out[key + "X"], out[key + "y"] = ds.X, ds.y
+            out[key + "categories"] = np.array(json.dumps(ds.categories))
+            out[key + "label_names"] = np.array(json.dumps(ds.label_names))
+    return out
 
 
 def compare(a_path: str, b_path: str) -> int:
