@@ -33,7 +33,7 @@ from .errors import (ConfigError, ContractError, CsvParseError, StateError,
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 _MISSING = ("", "?")  # cell texts, after stripping, that mark a missing cell
-_AS_NAN = dict.fromkeys(_MISSING, "nan")  # a missing numeric cell, as np.loadtxt reads it
+_AS_NAN = dict.fromkeys(_MISSING, math.nan)  # a missing numeric cell, as np.array reads it
 
 
 class TabularDataset:
@@ -100,7 +100,9 @@ class TabularDataset:
         return {c: np.flatnonzero(y == c) for c in range(self.class_count)}
 
 
-def _number(text: str, row: int, col: int) -> float:
+def _number(text: str | float, row: int, col: int) -> float:
+    if isinstance(text, float):  # a missing cell the row pass already made NaN
+        return text
     text = text.strip()
     if text in _MISSING:
         return math.nan
@@ -123,31 +125,28 @@ def _picker(cols: list[int]):
     return itemgetter(*cols) if cols else lambda row: ()
 
 
-def _numbers(rows: list[tuple[str, ...]], lines: list[str], missing: int,
-             cols: list[int], first_row: int) -> np.ndarray:
+def _numbers(rows: list[tuple[str | float, ...]], missing: int, cols: list[int],
+             starts: list[int]) -> np.ndarray:
     """The (n, k) grid of the numeric cells `rows`, n tuples of the k file columns `cols`.
 
-    ``lines`` holds each row's cells joined with ``,``, a missing cell written as
-    ``nan``, and ``missing`` counts those cells. One ``np.loadtxt`` call parses them,
-    with the conversion ``float()`` uses. Its grid is kept only if it has the shape,
-    holds no inf and holds no NaN but the missing cells. Otherwise (a bad cell, or a
-    cell ``_number`` reads and ``loadtxt`` does not, such as ``1_000`` or ``" ? "``)
-    ``_number`` parses each cell, column by column, so the error names the first bad
-    cell of the leftmost bad column.
+    A missing cell ``""`` or ``"?"`` is already NaN, and ``missing`` counts those cells.
+    One ``np.array`` call converts the other cells with ``float()``'s rules. Its grid
+    is kept only if it holds no inf and no NaN but the missing cells. Otherwise (a bad
+    cell, or a padded missing cell such as ``" ? "``) ``_number`` parses each cell,
+    column by column, so the error names the first bad cell of the leftmost bad
+    column, at the file line ``starts`` gives for its row.
     """
     n, k = len(rows), len(cols)
-    if k:
-        try:
-            grid = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
-                              dtype=np.float64, ndmin=2)
-        except ValueError:
-            grid = None
-        if (grid is not None and grid.shape == (n, k) and not np.isinf(grid).any()
-                and np.count_nonzero(np.isnan(grid)) == missing):
-            return grid
+    try:
+        grid = np.array(rows, dtype=np.float64).reshape(n, k)
+    except ValueError:
+        grid = None
+    if (grid is not None and not np.isinf(grid).any()
+            and np.count_nonzero(np.isnan(grid)) == missing):
+        return grid
     grid = np.empty((n, k))
     for j, (col, cells) in enumerate(zip(cols, zip(*rows))):
-        grid[:, j] = [_number(t, line, col) for line, t in enumerate(cells, first_row)]
+        grid[:, j] = [_number(t, line, col) for line, t in zip(starts, cells)]
     return grid
 
 
@@ -169,13 +168,14 @@ def load_csv(path: str | Path, schema: dict | str | Path,
     header), ``kinds`` (name -> "numeric"/"categorical" mapping, or a list
     in file order), ``header`` (default true). Cells "" and "?" are missing.
 
-    ``csv.reader`` is the one tokenizer. One pass over its rows checks each
-    row's width and keeps the row's numeric cells, also joined into one line,
-    and its text cells (categories and label). One ``np.loadtxt`` call then
-    parses all numeric lines (see ``_numbers``); a block it refuses is parsed a
-    cell at a time, so with several bad cells the error names the first bad
-    cell of the leftmost bad column. A row of the wrong width is reported
-    before any bad cell.
+    ``csv.reader`` is the one tokenizer and ``float()``'s rules the one number
+    grammar. One pass over its rows checks each row's width and keeps the row's
+    numeric cells and its text cells (categories and label). One ``np.array``
+    call then converts all numeric cells (see ``_numbers``). Only a bad cell or a
+    padded missing cell sends the block through the per-cell loop, so with
+    several bad cells the error names the first bad cell of the leftmost bad
+    column. A row of the wrong width is reported before any bad cell. An error
+    names a row by the file line on which its record starts.
     """
     if isinstance(schema, (str, Path)):
         schema = json.loads(Path(schema).read_text())
@@ -194,15 +194,11 @@ def load_csv(path: str | Path, schema: dict | str | Path,
         head = next(rows, None)
         if head is None:
             raise CsvParseError(f"{path}: file is empty")
+        line = rows.line_num + 1 if header else 1  # 1-based file line a record starts on
         first = next(rows, None) if header else head
         if first is None:
             raise CsvParseError(f"{path}: no data rows")
-        if header:
-            columns = [c.strip() for c in head]
-            first_row = 2  # 1-based file line of the first data row
-        else:
-            columns = [str(i) for i in range(len(head))]
-            first_row = 1
+        columns = [c.strip() for c in head] if header else [str(i) for i in range(len(head))]
 
         label = schema["label"]
         label_col = str(label) if not header else label
@@ -226,25 +222,26 @@ def load_csv(path: str | Path, schema: dict | str | Path,
         numeric_idx = [i for i, kind in zip(feature_idx, kinds) if kind == NUMERIC]
         text_idx = [i for i, kind in zip(feature_idx, kinds) if kind != NUMERIC] + [label_idx]
         numeric_cells, text_cells = _picker(numeric_idx), _picker(text_idx)
-        numbers, lines, texts, missing = [], [], [], 0
+        numbers, texts, starts, missing = [], [], [], 0
         same = {}  # one str per distinct text: coding then reads a few objects, not one a cell
-        for line, row in enumerate(itertools.chain([first], rows), first_row):
+        for row in itertools.chain([first], rows):
             if len(row) != len(columns):
                 raise CsvParseError(
                     f"{path}: row {line} has {len(row)} cells, expected {len(columns)}")
+            starts.append(line)
+            line = rows.line_num + 1  # the next record starts after this one's last line
             cells = numeric_cells(row)
-            numbers.append(cells)
             gaps = sum(map(cells.count, _MISSING))
             if gaps:
                 missing += gaps
-                cells = map(_AS_NAN.get, cells, cells)
-            lines.append(",".join(cells))
+                cells = tuple(map(_AS_NAN.get, cells, cells))
+            numbers.append(cells)
             cells = text_cells(row)
             texts.append(tuple(map(same.setdefault, cells, cells)))
 
     X = np.empty((len(texts), len(feature_idx)), dtype=np.float64)
     X[:, [j for j, kind in enumerate(kinds) if kind == NUMERIC]] = _numbers(
-        numbers, lines, missing, numeric_idx, first_row)
+        numbers, missing, numeric_idx, starts)
     *category_cells, label_cells = zip(*texts)
     categories = {}
     for j, cells in zip([j for j, kind in enumerate(kinds) if kind != NUMERIC], category_cells):

@@ -293,11 +293,13 @@ def padded(texts):
 
 
 def number_texts(bad: bool):
-    """Numeric cells: missing ones, plain and exotic numbers ``float()`` reads (some of
-    which ``np.loadtxt`` refuses), and with `bad`, cells that are no finite number."""
+    """Numeric cells: missing ones, plain and exotic numbers ``float()`` reads, and
+    with `bad`, cells that are no finite number (each spelling ``float()`` reads as
+    NaN or inf among them)."""
     cells = ["", "?", "1e3", "-2.5E-2", "1_000", "\u0661\u0662", "2\n", "\n"]
     if bad:
-        cells += ["1,5", "x", "nan", "-inf", "1e999"]
+        cells += ["1,5", "x", "nan", "NaN", "-nan", "-inf", "+inf", "Infinity", "1e999",
+                  "1e400"]
     return padded(st.one_of(st.sampled_from(cells),
                             st.integers(-400, 400).map(lambda k: repr(k / 8))))
 
@@ -340,11 +342,14 @@ def test_load_csv_reads_each_cell_like_a_per_cell_reference(tmp_path_factory, ta
     want_X = np.empty((len(body), len(kinds)))
     want_categories = {}
     error = None  # the first bad cell of the leftmost bad column
+    starts = [2]  # the file line each row starts on: a quoted newline adds one
+    for row in body[:-1]:
+        starts.append(starts[-1] + 1 + sum(cell.count("\n") for cell in row))
     for j, kind in enumerate(kinds):
         col = j + (j >= label_at)
         cells = [row[col].strip() for row in body]
         if kind == D.NUMERIC:
-            for line, t in enumerate(cells, 2):
+            for i, (line, t) in enumerate(zip(starts, cells)):
                 try:
                     value = math.nan if t in ("", "?") else float(t)
                 except ValueError:
@@ -353,7 +358,7 @@ def test_load_csv_reads_each_cell_like_a_per_cell_reference(tmp_path_factory, ta
                 if math.isnan(value) and t not in ("", "?") or math.isinf(value):
                     error = error or (f"row {line}: column {col} expected a finite number, "
                                       f"got {t!r}")
-                want_X[line - 2, j] = value
+                want_X[i, j] = value
         else:
             names = sorted({t for t in cells if t not in ("", "?")})
             want_categories[j] = names
@@ -381,10 +386,31 @@ def test_load_csv_reads_each_cell_like_a_per_cell_reference(tmp_path_factory, ta
     ([["x", "2", "yes"], ["1", "2"]], "row 3 has 2 cells, expected 3"),
     ([["x", "y", "yes"], ["1", "2", "no", "extra"], ["1", "2"]],
      "row 3 has 4 cells, expected 3"),
+    ([["1", "2\n", "yes"], ["bad", "2", "no"]], "row 4: column 0 expected a number, got 'bad'"),
+    ([["1", "2\n", "yes"], ["1", "2"]], "row 4 has 2 cells, expected 3"),
+    ([["1", "\n2\n", "yes"], ["2", "3", "no"], ["1e999", "4", "no"]],
+     "row 6: column 0 expected a finite number, got '1e999'"),
 ], ids=["bad_left_column_in_a_later_row", "non_finite_left_column_in_a_later_row",
         "left_column_wins_in_a_long_file", "short_row_after_a_bad_cell",
-        "first_wrong_width_row"])
+        "first_wrong_width_row", "bad_cell_after_a_quoted_newline",
+        "short_row_after_a_quoted_newline", "bad_cell_after_two_quoted_newlines"])
 def test_load_csv_reports_the_first_error_in_reading_order(tmp_path, rows, error):
     csv_path = write_csv(tmp_path / "t.csv", [["a", "b", "label"]] + rows)
     with pytest.raises(CsvParseError, match=re.escape(error)):
         D.load_csv(csv_path, {"label": "label", "kinds": {"a": "numeric", "b": "numeric"}})
+
+
+def test_load_csv_converts_every_cell_float_reads_without_the_per_cell_loop(tmp_path,
+                                                                           monkeypatch):
+    calls = []
+    number = D._number
+    monkeypatch.setattr(D, "_number", lambda *args: calls.append(args) or number(*args))
+    csv_path = write_csv(tmp_path / "t.csv", [
+        ["a", "b", "c", "label"],
+        ["1_000", "\xa0+1\xa0", "-0", "yes"],
+        ["\u0661\u0662", "\u30001e3\u3000", "+1", "no"]])
+    ds = D.load_csv(csv_path, {"label": "label",
+                               "kinds": {"a": "numeric", "b": "numeric", "c": "numeric"}})
+    assert calls == []
+    np.testing.assert_array_equal(ds.X, [[1000.0, 1.0, -0.0], [12.0, 1000.0, 1.0]])
+    assert np.signbit(ds.X[0, 2])

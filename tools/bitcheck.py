@@ -11,10 +11,12 @@ and forced to 2. Run it with ``OPENBLAS_NUM_THREADS`` unset and set to 1 (large
 blocks then split on their own). It also writes ``X``, ``y``, the categories and
 the label names that ``data.load_csv`` reads from the benchmark generator's CSVs
 for the ``frozen_train`` (2,000 rows) and ``ingest_noenc`` (100,000 rows) shapes,
-seeds 1 to 3. ``compare`` lists the arrays whose bits differ or that one file
-lacks, and exits 1 if there are any.
+seeds 1 to 3, and from seeded CSVs whose numbers only Python's ``float()`` reads,
+not a C parser such as ``np.loadtxt`` (see ``exotic_csv``). ``compare`` lists the
+arrays whose bits differ or that one file lacks, and exits 1 if there are any.
 """
 
+import csv
 import itertools
 import json
 import sys
@@ -86,7 +88,37 @@ def csv_loads() -> dict[str, np.ndarray]:
             out[key + "X"], out[key + "y"] = ds.X, ds.y
             out[key + "categories"] = np.array(json.dumps(ds.categories))
             out[key + "label_names"] = np.array(json.dumps(ds.label_names))
+        for seed, padded_missing in itertools.product((1, 2, 3), (False, True)):
+            path = exotic_csv(Path(tmp) / f"exotic-{seed}-{padded_missing:d}.csv", seed,
+                              padded_missing)
+            ds = D.load_csv(path, {"label": "label", "kinds": ["numeric"] * 6})
+            key = f"csv-exotic{'-missing' * padded_missing}-s{seed}/"
+            out[key + "X"], out[key + "y"] = ds.X, ds.y
+            out[key + "label_names"] = np.array(json.dumps(ds.label_names))
     return out
+
+
+def exotic_csv(path: Path, seed: int, padded_missing: bool) -> Path:
+    """A CSV of 5,000 rows of 6 numeric columns and a label, each number written with
+    ``_`` digit grouping, in Arabic-Indic digits or padded with NBSP and ideographic
+    spaces. With `padded_missing`, about 2 % of the cells are a missing ``?`` padded
+    with spaces, which ``load_csv`` reads a cell at a time."""
+    rng = np.random.default_rng(seed)
+    shape = (5000, 6)
+    values = rng.choice([-1, 1], shape) * rng.uniform(1e3, 1e7, shape)
+    spelling = rng.integers(0, 3, shape)
+    arabic = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                         "\u0665\u0666\u0667\u0668\u0669")
+    spell = (lambda v: f"{v:_.6f}", lambda v: f"{v:.6f}".translate(arabic),
+             lambda v: f"\xa0{v!r}\u3000")
+    body = [[spell[s](v) for s, v in zip(ss, vs)] + [f"c{rng.integers(3)}"]
+            for ss, vs in zip(spelling.tolist(), values.tolist())]
+    if padded_missing:
+        for i, j in zip(*np.nonzero(rng.random(shape) < 0.02)):
+            body[i][j] = " ? "
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([[f"n{j}" for j in range(6)] + ["label"]] + body)
+    return path
 
 
 def compare(a_path: str, b_path: str) -> int:
