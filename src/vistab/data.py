@@ -130,17 +130,28 @@ def _numbers(rows: list[tuple[str | float, ...]], missing: int, cols: list[int],
     """The (n, k) grid of the numeric cells `rows`, n tuples of the k file columns `cols`.
 
     A missing cell ``""`` or ``"?"`` is already NaN, and ``missing`` counts those cells.
-    One ``np.array`` call converts the other cells with ``float()``'s rules. Its grid
-    is kept only if it holds no inf and no NaN but the missing cells. Otherwise (a bad
-    cell, or a padded missing cell such as ``" ? "``) ``_number`` parses each cell,
+    One ``np.array`` call converts the other cells with ``float()``'s rules. When it
+    rejects a cell that strips to a missing text (a padded missing cell such as
+    ``" ?"``), every cell of that text becomes NaN and the call runs again; a file
+    spells its missing cells in few ways. The grid is kept only if it holds no inf and
+    no NaN but the missing cells. Otherwise (a bad cell) ``_number`` parses each cell,
     column by column, so the error names the first bad cell of the leftmost bad
     column, at the file line ``starts`` gives for its row.
     """
     n, k = len(rows), len(cols)
-    try:
-        grid = np.array(rows, dtype=np.float64).reshape(n, k)
-    except ValueError:
-        grid = None
+    block, grid = rows, None  # block: an object array once a padded missing cell turns up
+    while grid is None:
+        try:
+            grid = np.array(block, dtype=np.float64).reshape(n, k)
+        except ValueError:
+            if block is rows:
+                block = np.array(rows, dtype=object)
+            text = _first_rejected(block.ravel())
+            if text.strip() not in _MISSING:
+                break
+            padded = block == text
+            block[padded] = math.nan
+            missing += np.count_nonzero(padded)
     if (grid is not None and not np.isinf(grid).any()
             and np.count_nonzero(np.isnan(grid)) == missing):
         return grid
@@ -148,6 +159,24 @@ def _numbers(rows: list[tuple[str | float, ...]], missing: int, cols: list[int],
     for j, (col, cells) in enumerate(zip(cols, zip(*rows))):
         grid[:, j] = [_number(t, line, col) for line, t in zip(starts, cells)]
     return grid
+
+
+def _first_rejected(cells: np.ndarray) -> str:
+    """The first cell that ``float()`` rejects in `cells`, a 1-D object array holding one.
+
+    Bisection: converting a slice stops at its first rejected cell, so the search
+    converts at most ``len(cells)`` cells in all.
+    """
+    lo, hi = 0, len(cells)  # the first rejected cell lies in cells[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            cells[lo:mid].astype(np.float64)
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid
+    return cells[lo]
 
 
 def _codes(cells: tuple[str, ...], missing: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
@@ -171,11 +200,11 @@ def load_csv(path: str | Path, schema: dict | str | Path,
     ``csv.reader`` is the one tokenizer and ``float()``'s rules the one number
     grammar. One pass over its rows checks each row's width and keeps the row's
     numeric cells and its text cells (categories and label). One ``np.array``
-    call then converts all numeric cells (see ``_numbers``). Only a bad cell or a
-    padded missing cell sends the block through the per-cell loop, so with
-    several bad cells the error names the first bad cell of the leftmost bad
-    column. A row of the wrong width is reported before any bad cell. An error
-    names a row by the file line on which its record starts.
+    call then converts all numeric cells (see ``_numbers``). Only a bad cell
+    sends the block through the per-cell loop, so with several bad cells the
+    error names the first bad cell of the leftmost bad column. A row of the
+    wrong width is reported before any bad cell. An error names a row by the
+    file line on which its record starts.
     """
     if isinstance(schema, (str, Path)):
         schema = json.loads(Path(schema).read_text())

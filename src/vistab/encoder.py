@@ -546,6 +546,22 @@ def encoder_forward(t0: Tensor, bundle: EncoderBundle, layer_range: LayerRange,
     return x
 
 
+def slice_parameters(bundle: EncoderBundle, layer_range: LayerRange,
+                     use_pos: bool) -> list[Tensor]:
+    """Every tensor that :func:`assemble_sequence` and :func:`encoder_forward` read for
+    tokens run through `layer_range`: its blocks, CLS, ``pos_embed`` with `use_pos`, and
+    the final norm when the range reaches the last layer. Never the patch projection,
+    which only :func:`patch_embed` reads. No gradient reaches any other tensor."""
+    tensors = [t for layer in bundle.layers[layer_range.start:layer_range.end]
+               for t in layer.tensors()]
+    tensors.append(bundle.cls_token)
+    if use_pos:
+        tensors.append(bundle.pos_embed)
+    if layer_range.end == bundle.config.depth:
+        tensors += [bundle.final_gain, bundle.final_bias]
+    return tensors
+
+
 def save_weights(bundle: EncoderBundle, path: str | Path) -> None:
     """Write the bundle; loading it back reproduces every tensor bit-exactly."""
     wio.save_tensors(path, bundle.named_tensors(),

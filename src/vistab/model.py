@@ -122,7 +122,12 @@ class HeadWeights(_DenseStack):
 
 @dataclass
 class VisTabNet:
-    """Adapter -> encoder slice -> head; `pool` is one of POOLS, `freeze_mode` of FREEZE_MODES."""
+    """Adapter -> encoder slice -> head; `pool` is one of POOLS, `freeze_mode` of FREEZE_MODES.
+
+    ``layer_range`` needs an encoder and defaults to all of its layers. Making the model
+    runs :func:`set_freeze_mode`, which fixes the tensors that track; a model whose
+    ``layer_range`` or ``use_pos`` changes afterwards needs another call.
+    """
 
     adapter: AdapterWeights
     head: HeadWeights
@@ -135,6 +140,8 @@ class VisTabNet:
     def __post_init__(self):
         if self.pool not in POOLS:
             raise ContractError(f"unknown pool {self.pool!r}; expected one of {POOLS}")
+        if self.encoder is None and self.layer_range is not None:
+            raise ContractError(f"layer_range {self.layer_range} given without an encoder")
         if self.encoder is not None:
             d = self.encoder.config.dim
             if self.adapter.config.out_dim != d:
@@ -217,9 +224,13 @@ def model_forward(x, model: VisTabNet) -> Tensor:
 
 
 def set_freeze_mode(model: VisTabNet, mode: str) -> VisTabNet:
-    """frozen: encoder weights stop tracking; fine_tune / fully_trained: all track.
+    """frozen: no encoder tensor tracks; fine_tune / fully_trained: exactly the encoder
+    tensors that :func:`model_forward` reads track (:func:`vistab.encoder.slice_parameters`
+    of the model's ``layer_range`` and ``use_pos``), and every other one does not.
 
-    The adapter and the head always track.
+    The adapter and the head always track. The tracked set is fixed here, when
+    ``VisTabNet`` is made, when :func:`load_checkpoint` rebuilds a model, or on an explicit
+    call; a model whose ``layer_range`` or ``use_pos`` changes afterwards needs another call.
     """
     if mode not in FREEZE_MODES:
         raise ContractError(f"unknown freeze mode {mode!r}; expected one of {FREEZE_MODES}")
@@ -227,11 +238,16 @@ def set_freeze_mode(model: VisTabNet, mode: str) -> VisTabNet:
     for p in model.adapter.parameters() + model.head.parameters():
         p.tracked = True
     if model.encoder is not None:
-        model.encoder.set_tracked(mode != "frozen")
+        model.encoder.set_tracked(False)
+        if mode != "frozen":
+            for p in enc.slice_parameters(model.encoder, model.layer_range, model.use_pos):
+                p.tracked = True
     return model
 
 
 def count_trainable(model: VisTabNet) -> int:
+    """Values in the tracked tensors: the adapter, the head and, unless frozen, the encoder
+    tensors that the slice runs, as the last :func:`set_freeze_mode` call set them."""
     return sum(p.size for p in model.parameters() if p.tracked)
 
 

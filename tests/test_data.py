@@ -408,9 +408,12 @@ def test_load_csv_converts_every_cell_float_reads_without_the_per_cell_loop(tmp_
     csv_path = write_csv(tmp_path / "t.csv", [
         ["a", "b", "c", "label"],
         ["1_000", "\xa0+1\xa0", "-0", "yes"],
-        ["\u0661\u0662", "\u30001e3\u3000", "+1", "no"]])
+        ["\u0661\u0662", "\u30001e3\u3000", "+1", "no"],
+        [" ?", "\xa0?", "", "no"],  # padded missing cells, two spellings, and a bare one
+        ["2", " ?", "\xa0?", "yes"]])
     ds = D.load_csv(csv_path, {"label": "label",
                                "kinds": {"a": "numeric", "b": "numeric", "c": "numeric"}})
     assert calls == []
-    np.testing.assert_array_equal(ds.X, [[1000.0, 1.0, -0.0], [12.0, 1000.0, 1.0]])
+    np.testing.assert_array_equal(ds.X, [[1000.0, 1.0, -0.0], [12.0, 1000.0, 1.0],
+                                         [np.nan] * 3, [2.0, np.nan, np.nan]])
     assert np.signbit(ds.X[0, 2])

@@ -290,6 +290,51 @@ class TestFreezeAndCounting:
         M.set_freeze_mode(model, "frozen")
         assert M.count_trainable(model) == 2 * (4 * 8 + 8) + (8 * 2 + 2)
 
+    def test_fine_tune_count_is_the_slice(self):
+        cfg = EncoderConfig(depth=3, dim=8, heads=2, mlp_ratio=2, max_seq=4)
+        model = M.build_model(
+            AdapterConfig(input_dim=4, n_views=2, depth=1, out_dim=8),
+            HeadConfig(in_dim=8, n_classes=2, depth=1),
+            bundle=enc.random_bundle(cfg, scale=0.0, with_patch=True),
+            layer_range=LayerRange(1, 3), use_pos=True,
+        )
+        M.set_freeze_mode(model, "fine_tune")
+        block = 2 * (2 * 8) + 4 * (8 * 8 + 8) + (8 * 16 + 16) + (16 * 8 + 8)
+        # blocks 1 and 2, CLS, pos_embed and the final norm; not block 0 nor the patch projection
+        assert M.count_trainable(model) == (2 * (4 * 8 + 8) + (8 * 2 + 2)
+                                            + 2 * block + 8 + 4 * 8 + 2 * 8)
+
+    @pytest.mark.parametrize("use_pos", [True, False])
+    @pytest.mark.parametrize("pool", M.POOLS)
+    @pytest.mark.parametrize("layer_range", [LayerRange(0, 1), LayerRange(1, 2), LayerRange(2, 3),
+                                             LayerRange(0, 2), LayerRange(1, 3), LayerRange(0, 3)],
+                             ids=lambda r: f"{r.start}-{r.end}")
+    @pytest.mark.parametrize("mode", M.FREEZE_MODES)
+    def test_gradients_reach_exactly_the_tracked_tensors(self, mode, layer_range, pool, use_pos):
+        cfg = EncoderConfig(depth=3, dim=8, heads=2, mlp_ratio=2, max_seq=5, patch=2)
+        bundle = enc.random_bundle(cfg, seed=38, scale=0.3, with_patch=True)
+        model = M.build_model(AdapterConfig(input_dim=4, n_views=3, out_dim=8),
+                              HeadConfig(in_dim=8, n_classes=3), bundle=bundle,
+                              layer_range=layer_range, seed=39, use_pos=use_pos, pool=pool)
+        bundle.set_tracked(True)  # the mode, not what tracked before, decides
+        M.set_freeze_mode(model, mode)
+        rng = np.random.default_rng(40)
+        with Tape():
+            loss = T.cross_entropy(M.model_forward(rng.normal(size=(3, 4)), model),
+                                   rng.integers(0, 3, 3))
+        backward(loss)
+        params = model.parameters()
+        assert [p.grad is not None for p in params] == [p.tracked for p in params]
+        blocks = len(bundle.layers[0].tensors()) * (layer_range.end - layer_range.start)
+        expected = 0 if mode == "frozen" else (
+            blocks + 1 + use_pos + 2 * (layer_range.end == cfg.depth))  # CLS, pos, final norm
+        assert sum(p.tracked for p in bundle.parameters()) == expected
+
+    def test_layer_range_without_an_encoder_is_refused(self):
+        with pytest.raises(ContractError, match="layer_range"):
+            M.build_model(AdapterConfig(input_dim=4, n_views=3, out_dim=CFG.dim),
+                          HeadConfig(in_dim=CFG.dim, n_classes=3), layer_range=LayerRange(0, 2))
+
     def test_fully_trained_count_dominates(self):
         model = toy_model(seed=26)
         M.set_freeze_mode(model, "frozen")
@@ -416,7 +461,12 @@ class TestCheckpoint:
         assert loaded.encoder.config == cfg
         assert (loaded.layer_range, loaded.use_pos, loaded.pool, loaded.freeze_mode) == (
             LayerRange(0, 1), False, "mean", "fine_tune")
-        assert all(p.tracked for p in loaded.parameter_groups()["encoder"])
+        # fine_tune tracks the slice alone: block 0 and CLS (use_pos is off, the range
+        # stops short of the final norm), in the saved model and in the reloaded one
+        tracked = [p.tracked for p in loaded.parameters()]
+        assert tracked == [p.tracked for p in model.parameters()]
+        want = {id(t) for t in loaded.encoder.layers[0].tensors()} | {id(loaded.encoder.cls_token)}
+        assert {id(p) for p in loaded.encoder.parameters() if p.tracked} == want
         x = np.random.default_rng(37).normal(size=(2, 4))
         np.testing.assert_array_equal(
             M.model_forward(x, model).data, M.model_forward(x, loaded).data)

@@ -102,7 +102,7 @@ def exotic_csv(path: Path, seed: int, padded_missing: bool) -> Path:
     """A CSV of 5,000 rows of 6 numeric columns and a label, each number written with
     ``_`` digit grouping, in Arabic-Indic digits or padded with NBSP and ideographic
     spaces. With `padded_missing`, about 2 % of the cells are a missing ``?`` padded
-    with spaces, which ``load_csv`` reads a cell at a time."""
+    with spaces, which ``load_csv`` finds by bisection and converts in bulk."""
     rng = np.random.default_rng(seed)
     shape = (5000, 6)
     values = rng.choice([-1, 1], shape) * rng.uniform(1e3, 1e7, shape)
