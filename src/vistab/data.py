@@ -6,7 +6,7 @@ names, stripped and sorted), and NaN marks a missing cell of either kind.
 
 The split protocol is fixed at test = 5/20 of the dataset, valid = 1/5 of
 the remainder, train = the rest (so 12/20, 3/20, 5/20 overall), stratified
-by default. Preprocessing statistics always come from the partition the
+by class. Preprocessing statistics always come from the partition the
 preprocessor was fitted on, never from the partition being transformed.
 
 Feature and label reads go through the ``X`` / ``y`` properties, which
@@ -207,7 +207,10 @@ def load_csv(path: str | Path, schema: dict | str | Path,
     file line on which its record starts.
     """
     if isinstance(schema, (str, Path)):
-        schema = json.loads(Path(schema).read_text())
+        try:
+            schema = json.loads(Path(schema).read_text())
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ConfigError(f"schema {schema}: not a JSON file: {e}") from None
     if not isinstance(schema, dict) or "label" not in schema:
         raise ConfigError("schema must be a JSON object with a 'label' key")
     kinds_decl = schema.get("kinds", {})
@@ -218,55 +221,58 @@ def load_csv(path: str | Path, schema: dict | str | Path,
         raise ConfigError(f"schema 'header' must be true or false, got {header!r}")
     path = Path(path)
 
-    with path.open(newline="") as fh:
-        rows = csv.reader(fh)
-        head = next(rows, None)
-        if head is None:
-            raise CsvParseError(f"{path}: file is empty")
-        line = rows.line_num + 1 if header else 1  # 1-based file line a record starts on
-        first = next(rows, None) if header else head
-        if first is None:
-            raise CsvParseError(f"{path}: no data rows")
-        columns = [c.strip() for c in head] if header else [str(i) for i in range(len(head))]
+    try:
+        with path.open(newline="") as fh:
+            rows = csv.reader(fh)
+            head = next(rows, None)
+            if head is None:
+                raise CsvParseError(f"{path}: file is empty")
+            line = rows.line_num + 1 if header else 1  # 1-based file line a record starts on
+            first = next(rows, None) if header else head
+            if first is None:
+                raise CsvParseError(f"{path}: no data rows")
+            columns = [c.strip() for c in head] if header else [str(i) for i in range(len(head))]
 
-        label = schema["label"]
-        label_col = str(label) if not header else label
-        if label_col not in columns:
-            raise CsvParseError(f"{path}: label column {label!r} not found")
-        label_idx = columns.index(label_col)
+            label = schema["label"]
+            label_col = str(label) if not header else label
+            if label_col not in columns:
+                raise CsvParseError(f"{path}: label column {label!r} not found")
+            label_idx = columns.index(label_col)
 
-        if isinstance(kinds_decl, list):
-            if len(kinds_decl) > len(columns):
-                raise ConfigError(f"schema 'kinds' has {len(kinds_decl)} entries for "
-                                  f"{len(columns)} columns")
-            kinds_by_col = dict(zip(columns, kinds_decl))
-        else:
-            kinds_by_col = dict(kinds_decl)
-        feature_idx = [i for i in range(len(columns)) if i != label_idx]
-        kinds = [kinds_by_col.get(columns[i], CATEGORICAL) for i in feature_idx]
-        for i, kind in zip(feature_idx, kinds):
-            if kind not in (NUMERIC, CATEGORICAL):
-                raise CsvParseError(f"{path}: column {columns[i]!r} has unknown kind {kind!r}")
+            if isinstance(kinds_decl, list):
+                if len(kinds_decl) > len(columns):
+                    raise ConfigError(f"schema 'kinds' has {len(kinds_decl)} entries for "
+                                      f"{len(columns)} columns")
+                kinds_by_col = dict(zip(columns, kinds_decl))
+            else:
+                kinds_by_col = dict(kinds_decl)
+            feature_idx = [i for i in range(len(columns)) if i != label_idx]
+            kinds = [kinds_by_col.get(columns[i], CATEGORICAL) for i in feature_idx]
+            for i, kind in zip(feature_idx, kinds):
+                if kind not in (NUMERIC, CATEGORICAL):
+                    raise CsvParseError(f"{path}: column {columns[i]!r} has unknown kind {kind!r}")
 
-        numeric_idx = [i for i, kind in zip(feature_idx, kinds) if kind == NUMERIC]
-        text_idx = [i for i, kind in zip(feature_idx, kinds) if kind != NUMERIC] + [label_idx]
-        numeric_cells, text_cells = _picker(numeric_idx), _picker(text_idx)
-        numbers, texts, starts, missing = [], [], [], 0
-        same = {}  # one str per distinct text: coding then reads a few objects, not one a cell
-        for row in itertools.chain([first], rows):
-            if len(row) != len(columns):
-                raise CsvParseError(
-                    f"{path}: row {line} has {len(row)} cells, expected {len(columns)}")
-            starts.append(line)
-            line = rows.line_num + 1  # the next record starts after this one's last line
-            cells = numeric_cells(row)
-            gaps = sum(map(cells.count, _MISSING))
-            if gaps:
-                missing += gaps
-                cells = tuple(map(_AS_NAN.get, cells, cells))
-            numbers.append(cells)
-            cells = text_cells(row)
-            texts.append(tuple(map(same.setdefault, cells, cells)))
+            numeric_idx = [i for i, kind in zip(feature_idx, kinds) if kind == NUMERIC]
+            text_idx = [i for i, kind in zip(feature_idx, kinds) if kind != NUMERIC] + [label_idx]
+            numeric_cells, text_cells = _picker(numeric_idx), _picker(text_idx)
+            numbers, texts, starts, missing = [], [], [], 0
+            same = {}  # one str per distinct text: coding then reads a few objects, not one a cell
+            for row in itertools.chain([first], rows):
+                if len(row) != len(columns):
+                    raise CsvParseError(
+                        f"{path}: row {line} has {len(row)} cells, expected {len(columns)}")
+                starts.append(line)
+                line = rows.line_num + 1  # the next record starts after this one's last line
+                cells = numeric_cells(row)
+                gaps = sum(map(cells.count, _MISSING))
+                if gaps:
+                    missing += gaps
+                    cells = tuple(map(_AS_NAN.get, cells, cells))
+                numbers.append(cells)
+                cells = text_cells(row)
+                texts.append(tuple(map(same.setdefault, cells, cells)))
+    except UnicodeDecodeError as e:
+        raise CsvParseError(f"{path}: cannot be decoded as {e.encoding}: {e.reason}") from None
 
     X = np.empty((len(texts), len(feature_idx)), dtype=np.float64)
     X[:, [j for j, kind in enumerate(kinds) if kind == NUMERIC]] = _numbers(
@@ -283,7 +289,6 @@ def load_csv(path: str | Path, schema: dict | str | Path,
 @dataclass(frozen=True)
 class SplitSpec:
     seed: int = 0
-    stratified: bool = True
     # fractions are fixed by the protocol: test 5/20, valid 3/20, train 12/20
 
 
@@ -319,33 +324,24 @@ def _largest_remainder(avail: np.ndarray, total: int) -> np.ndarray:
 
 def split(dataset: TabularDataset,
           spec: SplitSpec) -> tuple[TabularDataset, TabularDataset, TabularDataset]:
-    """Disjoint, exhaustive (train, valid, test) parts, seeded."""
-    n = len(dataset)
-    n_train, n_valid, n_test = split_sizes(n)
+    """Disjoint, exhaustive (train, valid, test) parts, seeded, each class split in
+    proportion to its count."""
+    _, n_valid, n_test = split_sizes(len(dataset))
     rng = np.random.default_rng(spec.seed)
-
-    if not spec.stratified:
-        order = rng.permutation(n)
-        test_idx = order[:n_test]
-        valid_idx = order[n_test:n_test + n_valid]
-        train_idx = order[n_test + n_valid:]
-    else:
-        per_class = dataset.class_indices()
-        counts = np.array([len(per_class[c]) for c in range(dataset.class_count)])
-        test_alloc = _largest_remainder(counts, n_test)
-        valid_alloc = _largest_remainder(counts - test_alloc, n_valid)
-        train_idx, valid_idx, test_idx = [], [], []
-        for c in range(dataset.class_count):
-            order = rng.permutation(per_class[c])
-            a, b = test_alloc[c], test_alloc[c] + valid_alloc[c]
-            test_idx.extend(order[:a])
-            valid_idx.extend(order[a:b])
-            train_idx.extend(order[b:])
-            if len(order[b:]) == 0:
-                raise StratificationError(
-                    f"class {dataset.label_names[c]!r} has no training samples "
-                    f"after the split")
-
+    per_class = dataset.class_indices()
+    counts = np.array([len(per_class[c]) for c in range(dataset.class_count)])
+    test_alloc = _largest_remainder(counts, n_test)
+    valid_alloc = _largest_remainder(counts - test_alloc, n_valid)
+    train_idx, valid_idx, test_idx = [], [], []
+    for c in range(dataset.class_count):
+        order = rng.permutation(per_class[c])
+        a, b = test_alloc[c], test_alloc[c] + valid_alloc[c]
+        test_idx.extend(order[:a])
+        valid_idx.extend(order[a:b])
+        train_idx.extend(order[b:])
+        if len(order[b:]) == 0:
+            raise StratificationError(
+                f"class {dataset.label_names[c]!r} has no training samples after the split")
     return dataset.take(train_idx), dataset.take(valid_idx), dataset.take(test_idx)
 
 

@@ -93,10 +93,16 @@ from .tensor import Tensor
 
 def require_sizes(config, *names: str) -> None:
     """Raise :class:`ContractError` naming the first field among `names` of `config`
-    that is below 1; a field left at None passes."""
+    that is not an ``int`` of at least 1 (a ``bool`` or a numpy integer is none, as
+    in the checkpoint's JSON metadata); a field left at None passes."""
     for name in names:
         value = getattr(config, name)
-        if value is not None and value < 1:
+        if value is None:
+            continue
+        if type(value) is not int:
+            raise ContractError(f"{type(config).__name__}.{name} must be an int, "
+                                f"got {value!r}")
+        if value < 1:
             raise ContractError(f"{type(config).__name__}.{name} must be >= 1, got {value}")
 
 
@@ -111,7 +117,7 @@ class EncoderConfig:
     channels: int = 1
 
     def __post_init__(self):
-        require_sizes(self, "depth", "dim", "heads", "mlp_ratio", "patch", "channels")
+        require_sizes(self, "depth", "dim", "heads", "mlp_ratio", "max_seq", "patch", "channels")
         if self.dim % self.heads != 0:
             raise ContractError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.max_seq < 2:
@@ -132,6 +138,10 @@ class LayerRange:
     end: int
 
     def validate(self, depth: int) -> "LayerRange":
+        for name in ("start", "end"):
+            if type(getattr(self, name)) is not int:
+                raise ContractError(f"LayerRange.{name} must be an int, "
+                                    f"got {getattr(self, name)!r}")
         if not (0 <= self.start < self.end <= depth):
             raise ContractError(
                 f"layer range ({self.start}, {self.end}) invalid for depth {depth}")
@@ -291,12 +301,12 @@ def flatten_patches(images: np.ndarray, p: int) -> np.ndarray:
     return np.ascontiguousarray(r.transpose(0, 1, 3, 2, 4, 5)).reshape(b, gh * gw, p * p * c)
 
 
-def assemble_sequence(tokens: Tensor, bundle: EncoderBundle, use_pos: bool = True) -> Tensor:
-    """[CLS, t_1..t_n] for each of a batch of (patch or tabular view) tokens.
+def assemble_sequence(tokens: Tensor, bundle: EncoderBundle) -> Tensor:
+    """[CLS, t_1..t_n] for each of a batch of (patch or tabular view) tokens, plus the
+    first n + 1 rows of the positional table (a truncation of the pre-trained table).
 
-    Batch only: (B, n, D) -> (B, n + 1, D). With ``use_pos`` the first n + 1
-    rows of the positional table are added (a truncation of the pre-trained
-    table).
+    Batch only: (B, n, D) -> (B, n + 1, D). The CLS row is then the one the encoder
+    was pre-trained on; for tabular views each position row is a constant per view.
     """
     cfg = bundle.config
     if tokens.data.ndim != 3 or tokens.shape[2] != cfg.dim:
@@ -307,12 +317,10 @@ def assemble_sequence(tokens: Tensor, bundle: EncoderBundle, use_pos: bool = Tru
     if n < 1:
         raise CapacityError("need at least one token besides CLS")
     seq = T.concat([T.expand_leading(bundle.cls_token, b), tokens], axis=1)
-    if use_pos:
-        pos = bundle.pos_embed
-        if pos.shape[0] != n + 1:
-            pos = T.narrow(pos, 0, 0, n + 1)
-        seq = T.add(seq, pos)
-    return seq
+    pos = bundle.pos_embed
+    if pos.shape[0] != n + 1:
+        pos = T.narrow(pos, 0, 0, n + 1)
+    return T.add(seq, pos)
 
 
 def _linear(a: np.ndarray, w: Tensor, bias: Tensor) -> np.ndarray:
@@ -546,17 +554,14 @@ def encoder_forward(t0: Tensor, bundle: EncoderBundle, layer_range: LayerRange,
     return x
 
 
-def slice_parameters(bundle: EncoderBundle, layer_range: LayerRange,
-                     use_pos: bool) -> list[Tensor]:
+def slice_parameters(bundle: EncoderBundle, layer_range: LayerRange) -> list[Tensor]:
     """Every tensor that :func:`assemble_sequence` and :func:`encoder_forward` read for
-    tokens run through `layer_range`: its blocks, CLS, ``pos_embed`` with `use_pos`, and
-    the final norm when the range reaches the last layer. Never the patch projection,
-    which only :func:`patch_embed` reads. No gradient reaches any other tensor."""
+    tokens run through `layer_range`: its blocks, CLS, ``pos_embed``, and the final norm
+    when the range reaches the last layer. Never the patch projection, which only
+    :func:`patch_embed` reads. No gradient reaches any other tensor."""
     tensors = [t for layer in bundle.layers[layer_range.start:layer_range.end]
                for t in layer.tensors()]
-    tensors.append(bundle.cls_token)
-    if use_pos:
-        tensors.append(bundle.pos_embed)
+    tensors += [bundle.cls_token, bundle.pos_embed]
     if layer_range.end == bundle.config.depth:
         tensors += [bundle.final_gain, bundle.final_bias]
     return tensors

@@ -5,13 +5,12 @@ to n pseudo-patch tokens in R^D. The n projections are stored stacked: each
 adapter layer is one ``(n, in, out)`` weight and one ``(n, 1, out)`` bias,
 saved as ``adapter.layer{j}.weight`` / ``adapter.layer{j}.bias``, so every
 view runs in the same batched ops. The token sequence [CLS, v_1..v_n] runs
-through a (possibly sliced, possibly frozen) pre-trained encoder and the
-CLS output row feeds a small classification head; with that CLS pool the
-slice's last block computes the CLS row alone (``cls_only`` of
-:func:`vistab.encoder.encoder_forward`), with the mean pool every row.
-Dropping the encoder
-entirely (``bundle=None``) degenerates to adapter -> mean pool -> head,
-which is the no-encoder ablation arm.
+through a (possibly sliced, possibly frozen) pre-trained encoder, with the
+encoder's position embedding added, and the CLS output row feeds a small
+classification head, so the slice's last block computes the CLS row alone
+(``cls_only`` of :func:`vistab.encoder.encoder_forward`). Dropping the
+encoder entirely (``bundle=None``) degenerates to adapter -> mean over the
+views -> head, which is the no-encoder ablation arm.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ from .encoder import EncoderBundle, LayerRange
 from .errors import CapacityError, ConfigError, ContractError, DimensionError
 from .tensor import Tensor
 
-FREEZE_MODES = ("frozen", "fine_tune", "fully_trained")
-POOLS = ("cls", "mean")  # the CLS row, or the mean over the non-CLS rows
+# training from random weights is fine_tune on a random_bundle
+FREEZE_MODES = ("frozen", "fine_tune")
 # VisTabNet's own settings, stored under the checkpoint's "model" metadata key
-_MODEL_FIELDS = ("use_pos", "pool", "freeze_mode")
+_MODEL_FIELDS = ("freeze_mode",)
 
 
 def _dense_widths(in_dim: int, hidden_dim: int, depth: int, out_dim: int) -> list[tuple[int, int]]:
@@ -65,7 +64,7 @@ class HeadConfig:
     hidden_dim: int | None = None
 
     def __post_init__(self):
-        enc.require_sizes(self, "in_dim", "depth", "hidden_dim")
+        enc.require_sizes(self, "in_dim", "n_classes", "depth", "hidden_dim")
         if self.n_classes < 2:
             raise ContractError("head needs at least two classes")
 
@@ -122,24 +121,20 @@ class HeadWeights(_DenseStack):
 
 @dataclass
 class VisTabNet:
-    """Adapter -> encoder slice -> head; `pool` is one of POOLS, `freeze_mode` of FREEZE_MODES.
+    """Adapter -> encoder slice -> head on the CLS row; `freeze_mode` is one of FREEZE_MODES.
 
     ``layer_range`` needs an encoder and defaults to all of its layers. Making the model
     runs :func:`set_freeze_mode`, which fixes the tensors that track; a model whose
-    ``layer_range`` or ``use_pos`` changes afterwards needs another call.
+    ``layer_range`` changes afterwards needs another call.
     """
 
     adapter: AdapterWeights
     head: HeadWeights
     encoder: EncoderBundle | None = None
     layer_range: LayerRange | None = None
-    use_pos: bool = True
-    pool: str = "cls"  # one of POOLS
     freeze_mode: str = "frozen"
 
     def __post_init__(self):
-        if self.pool not in POOLS:
-            raise ContractError(f"unknown pool {self.pool!r}; expected one of {POOLS}")
         if self.encoder is None and self.layer_range is not None:
             raise ContractError(f"layer_range {self.layer_range} given without an encoder")
         if self.encoder is not None:
@@ -171,14 +166,12 @@ class VisTabNet:
 def build_model(adapter_cfg: AdapterConfig, head_cfg: HeadConfig,
                 bundle: EncoderBundle | None = None,
                 layer_range: LayerRange | None = None,
-                seed: int = 0, use_pos: bool = True, pool: str = "cls") -> VisTabNet:
+                seed: int = 0) -> VisTabNet:
     return VisTabNet(
         adapter=AdapterWeights.init(adapter_cfg, seed=seed),
         head=HeadWeights.init(head_cfg, seed=seed + 1),
         encoder=bundle,
         layer_range=layer_range,
-        use_pos=use_pos,
-        pool=pool,
     )
 
 
@@ -213,24 +206,21 @@ def model_forward(x, model: VisTabNet) -> Tensor:
     if model.encoder is None:
         rep = T.tmean(views, axis=-2)
     else:
-        seq = assemble_tabular_sequence(views, model.encoder, use_pos=model.use_pos)
-        out = enc.encoder_forward(seq, model.encoder, model.layer_range,
-                                  cls_only=model.pool == "cls")
-        if model.pool == "mean":
-            rep = T.tmean(T.narrow(out, -2, 1, views.shape[-2]), axis=-2)
-        else:
-            rep = T.take(out, 0, axis=-2)
+        seq = assemble_tabular_sequence(views, model.encoder)
+        out = enc.encoder_forward(seq, model.encoder, model.layer_range, cls_only=True)
+        rep = T.take(out, 0, axis=-2)
     return _run_stack(rep, model.head.layers)
 
 
 def set_freeze_mode(model: VisTabNet, mode: str) -> VisTabNet:
-    """frozen: no encoder tensor tracks; fine_tune / fully_trained: exactly the encoder
-    tensors that :func:`model_forward` reads track (:func:`vistab.encoder.slice_parameters`
-    of the model's ``layer_range`` and ``use_pos``), and every other one does not.
+    """frozen: no encoder tensor tracks; fine_tune: exactly the encoder tensors that
+    :func:`model_forward` reads track (:func:`vistab.encoder.slice_parameters` of the
+    model's ``layer_range``), and every other one does not. Training from random weights
+    is fine_tune on a :func:`vistab.encoder.random_bundle`.
 
     The adapter and the head always track. The tracked set is fixed here, when
     ``VisTabNet`` is made, when :func:`load_checkpoint` rebuilds a model, or on an explicit
-    call; a model whose ``layer_range`` or ``use_pos`` changes afterwards needs another call.
+    call; a model whose ``layer_range`` changes afterwards needs another call.
     """
     if mode not in FREEZE_MODES:
         raise ContractError(f"unknown freeze mode {mode!r}; expected one of {FREEZE_MODES}")
@@ -240,7 +230,7 @@ def set_freeze_mode(model: VisTabNet, mode: str) -> VisTabNet:
     if model.encoder is not None:
         model.encoder.set_tracked(False)
         if mode != "frozen":
-            for p in enc.slice_parameters(model.encoder, model.layer_range, model.use_pos):
+            for p in enc.slice_parameters(model.encoder, model.layer_range):
                 p.tracked = True
     return model
 
@@ -295,10 +285,9 @@ def load_checkpoint(path: str | Path) -> VisTabNet:
             raise ConfigError(f"metadata 'layer_range': {e}") from None
         bundle = enc.bundle_from_tensors(tensors, encoder_cfg)
     stored = enc.read_metadata(meta, "model", VisTabNet, _MODEL_FIELDS)
-    for name, allowed in (("pool", POOLS), ("freeze_mode", FREEZE_MODES)):
-        if stored[name] not in allowed:
-            raise ConfigError(f"metadata 'model': field {name!r} must be one of {allowed}, "
-                              f"got {stored[name]!r}")
+    if stored["freeze_mode"] not in FREEZE_MODES:
+        raise ConfigError(f"metadata 'model': field 'freeze_mode' must be one of "
+                          f"{FREEZE_MODES}, got {stored['freeze_mode']!r}")
     return VisTabNet(
         adapter=AdapterWeights(config=adapter_cfg, layers=adapter_layers),
         head=HeadWeights(config=head_cfg, layers=head_layers),

@@ -261,25 +261,38 @@ def matmul(a, b) -> Tensor:
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
-    return custom(x.data.reshape(tuple(shape)), (x,), lambda g: (g.reshape(x.shape),))
+    try:
+        out = x.data.reshape(tuple(shape))
+    except (TypeError, ValueError):
+        raise DimensionError(f"cannot reshape {x.shape} to {shape!r}") from None
+    return custom(out, (x,), lambda g: (g.reshape(x.shape),))
 
 
 def swap_axes(x: Tensor, i: int, j: int) -> Tensor:
     x = _as_tensor(x)
+    i, j = _axis(x.shape, i), _axis(x.shape, j)
     return custom(np.swapaxes(x.data, i, j), (x,), lambda g: (np.swapaxes(g, i, j),))
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = tuple(_as_tensor(p) for p in parts)
+    try:
+        out = np.concatenate([p.data for p in parts], axis=axis)
+    except (TypeError, ValueError):  # numpy's AxisError is a ValueError too
+        raise DimensionError(f"cannot concatenate shapes {[p.shape for p in parts]} "
+                             f"along axis {axis!r}") from None
     bounds = np.cumsum([p.shape[axis] for p in parts[:-1]])
-    return custom(np.concatenate([p.data for p in parts], axis=axis), parts,
-                  lambda g: np.split(g, bounds, axis=axis))
+    return custom(out, parts, lambda g: np.split(g, bounds, axis=axis))
 
 
 def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = tuple(_as_tensor(p) for p in parts)
-    return custom(np.stack([p.data for p in parts], axis=axis), parts,
-                  lambda g: np.moveaxis(g, axis, 0))
+    try:
+        out = np.stack([p.data for p in parts], axis=axis)
+    except (TypeError, ValueError):
+        raise DimensionError(f"cannot stack shapes {[p.shape for p in parts]} "
+                             f"along axis {axis!r}") from None
+    return custom(out, parts, lambda g: np.moveaxis(g, axis, 0))
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -299,8 +312,11 @@ def take(x: Tensor, index: int, axis: int = 0) -> Tensor:
 def expand_leading(x: Tensor, n: int) -> Tensor:
     """Repeat `x` along a new leading axis of extent `n`."""
     x = _as_tensor(x)
-    return custom(np.broadcast_to(x.data, (n,) + x.shape).copy(), (x,),
-                  lambda g: (g.sum(axis=0),))
+    try:
+        out = np.broadcast_to(x.data, (n,) + x.shape).copy()
+    except (TypeError, ValueError):
+        raise DimensionError(f"cannot repeat shape {x.shape} {n!r} times") from None
+    return custom(out, (x,), lambda g: (g.sum(axis=0),))
 
 
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
@@ -466,26 +482,3 @@ def backward(loss: Tensor) -> None:
 def zero_grads(params: Sequence[Tensor]) -> None:
     for p in params:
         p.grad = None
-
-
-def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time."""
-    if h <= 0:
-        raise ContractError("finite difference step must be positive")
-    base = x.data.copy()
-    grad = np.zeros_like(base)
-    flat = base.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = _scalar(f(Tensor(base.copy())))
-        flat[i] = orig - h
-        fm = _scalar(f(Tensor(base.copy())))
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return grad
-
-
-def _scalar(v) -> float:
-    return v.item() if isinstance(v, Tensor) else float(v)

@@ -1,5 +1,6 @@
 import csv
 import json
+import locale
 import math
 import re
 import statistics
@@ -44,6 +45,25 @@ def test_bad_schema_raises_config_error_naming_key(tmp_path, schema, key):
     csv_path = tmp_path / "t.csv"
     csv_path.write_text("a,label\n1.0,yes\n2.0,no\n")
     with pytest.raises(ConfigError, match=key):
+        D.load_csv(csv_path, schema)
+
+
+@pytest.mark.parametrize("rows", [1, 5000], ids=["first_chunk", "later_chunk"])
+def test_load_csv_names_a_file_it_cannot_decode(tmp_path, rows):
+    if "\xff" == b"\xff".decode(locale.getpreferredencoding(False), "replace"):
+        pytest.skip("the locale's codec reads every byte")
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_bytes(b"a,label\n" + b"1.5,yes\n" * rows + b"2.5,n\xffo\n")
+    with pytest.raises(CsvParseError, match=re.escape(f"{csv_path}: cannot be decoded as")):
+        D.load_csv(csv_path, {"label": "label", "kinds": {"a": "numeric"}})
+
+
+@pytest.mark.parametrize("text", [b"{label: a}", b"\xff"], ids=["not_json", "not_text"])
+def test_load_csv_names_a_schema_file_that_is_not_json(tmp_path, text):
+    csv_path, schema = tmp_path / "t.csv", tmp_path / "t.json"
+    csv_path.write_text("a,label\n1.5,yes\n")
+    schema.write_bytes(text)
+    with pytest.raises(ConfigError, match=re.escape(f"schema {schema}: not a JSON file")):
         D.load_csv(csv_path, schema)
 
 
@@ -118,11 +138,11 @@ def rows(part: D.TabularDataset) -> list[int]:
 class_counts = st.lists(st.integers(4, 60), min_size=2, max_size=6)
 
 
-@given(class_counts, st.booleans(), st.integers(0, 2**32 - 1))
+@given(class_counts, st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_split_is_disjoint_exhaustive_and_protocol_sized(counts, stratified, seed):
+def test_split_is_disjoint_exhaustive_and_protocol_sized(counts, seed):
     ds = labelled(counts)
-    parts = D.split(ds, D.SplitSpec(seed=seed, stratified=stratified))
+    parts = D.split(ds, D.SplitSpec(seed=seed))
     assert tuple(len(p) for p in parts) == D.split_sizes(len(ds))
     taken = [r for p in parts for r in rows(p)]
     assert sorted(taken) == list(range(len(ds)))

@@ -14,13 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gradcheck import finite_diff_grad
 from vistab import encoder as enc
 from vistab import tensor as T
 from vistab.encoder import EncoderConfig, LayerRange
 from vistab import model as M
 from vistab.errors import (CapacityError, ConfigError, ContractError, DimensionError,
                            MissingTensorError, WeightFormatError)
-from vistab.tensor import Tape, Tensor, backward, finite_diff_grad
+from vistab.tensor import Tape, Tensor, backward
 
 TOY = EncoderConfig(depth=2, dim=8, heads=2, mlp_ratio=2, max_seq=6)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -266,12 +267,12 @@ class TestFusedBlock:
 
 
 def pooled_model(mode, cfg=TestFusedBlock.CFG, input_dim=7, seed=50,
-                 layer_range=LayerRange(0, 2), pool="cls"):
+                 layer_range=LayerRange(0, 2)):
     """A small model on a perturbed encoder, in freeze mode `mode`."""
     model = M.build_model(
         M.AdapterConfig(input_dim=input_dim, n_views=cfg.max_seq - 1, out_dim=cfg.dim),
         M.HeadConfig(in_dim=cfg.dim, n_classes=3), bundle=perturbed_bundle(cfg, seed=seed),
-        layer_range=layer_range, seed=seed, pool=pool)
+        layer_range=layer_range, seed=seed)
     return M.set_freeze_mode(model, mode)
 
 
@@ -401,22 +402,19 @@ class TestBufferReuse:
             assert all(np.array_equal(a, b) for a, b in zip(g, w))
 
 
-def every_row(monkeypatch, calls=None):
-    """Make model_forward run the encoder as without `cls_only`, every block on every
-    row; the keyword arguments of each call are appended to `calls`."""
+def every_row(monkeypatch):
+    """Make model_forward run the encoder as without `cls_only`, every block on every row."""
     forward = enc.encoder_forward
 
     def full(t0, bundle, layer_range, **kwargs):
-        if calls is not None:
-            calls.append(kwargs)
         return forward(t0, bundle, layer_range)
 
     monkeypatch.setattr(enc, "encoder_forward", full)
 
 
 class TestClsOnly:
-    """With the CLS pool the slice's last block computes the CLS row alone, and with
-    the mean pool every row, as before."""
+    """The model reads the CLS row, so the slice's last block computes that row alone,
+    with the outputs and gradients of the path that runs every row."""
 
     def test_encoder_returns_the_cls_row(self):
         bundle = perturbed_bundle(TestFusedBlock.CFG, seed=90)
@@ -455,21 +453,6 @@ class TestClsOnly:
             if w is not None:
                 # attn.k.bias gets an exact zero, here about 1e-16
                 np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-14)
-
-    @pytest.mark.parametrize("mode", ["frozen", "fine_tune"])
-    def test_mean_pool_runs_every_row_bit_for_bit(self, monkeypatch, mode):
-        model = pooled_model(mode, seed=94, pool="mean")
-        rng = np.random.default_rng(95)
-        X, y = rng.normal(size=(9, 7)), rng.integers(0, 3, 9)
-        want = step_results(model, X, y)
-        calls = []
-        every_row(monkeypatch, calls)
-        got = step_results(model, X, y)
-
-        assert len(calls) == 2 and not any(c.get("cls_only") for c in calls)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        assert_bit_identical(got[2], want[2])
 
 
 def split_in(monkeypatch, k):

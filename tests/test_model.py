@@ -6,26 +6,26 @@ import threading
 import numpy as np
 import pytest
 
+from gradcheck import finite_diff_grad
 from vistab import encoder as enc
 from vistab import model as M
 from vistab import tensor as T
 from vistab.encoder import EncoderConfig, LayerRange
 from vistab import weights as wio
-from vistab.errors import (CapacityError, ConfigError, ContractError, DimensionError,
-                           VistabError)
+from vistab.errors import CapacityError, ConfigError, ContractError, DimensionError
 from vistab.model import AdapterConfig, HeadConfig
-from vistab.tensor import Tape, Tensor, backward, finite_diff_grad
+from vistab.tensor import Tape, Tensor, backward
 
 CFG = EncoderConfig(depth=2, dim=8, heads=2, mlp_ratio=2, max_seq=6)
 
 
-def toy_model(seed=0, n_views=3, use_pos=True, bundle=None, input_dim=4):
+def toy_model(seed=0, n_views=3, bundle=None, input_dim=4):
     if bundle is None:
         bundle = enc.random_bundle(CFG, seed=seed, scale=0.3)
     return M.build_model(
         AdapterConfig(input_dim=input_dim, n_views=n_views, depth=2, out_dim=CFG.dim),
         HeadConfig(in_dim=CFG.dim, n_classes=3, depth=2),
-        bundle=bundle, seed=seed, use_pos=use_pos,
+        bundle=bundle, seed=seed,
     )
 
 
@@ -107,25 +107,18 @@ class TestAdapterForward:
 
 
 class TestAssembleTabularSequence:
-    def test_no_pos_is_plain_prepend(self):
+    def test_zero_pos_embed_is_plain_prepend(self):
         bundle = enc.random_bundle(CFG, seed=6)
+        bundle.pos_embed.data[:] = 0.0
         views = np.random.default_rng(7).normal(size=(2, 3, 8))
-        seq = M.assemble_tabular_sequence(Tensor(views), bundle, use_pos=False)
+        seq = M.assemble_tabular_sequence(Tensor(views), bundle)
         np.testing.assert_array_equal(seq.data[:, 0], np.tile(bundle.cls_token.data, (2, 1)))
         np.testing.assert_array_equal(seq.data[:, 1:], views)
-
-    def test_zero_pos_embed_equals_no_pos(self):
-        bundle = enc.random_bundle(CFG, seed=8)
-        bundle.pos_embed.data[:] = 0.0
-        views = Tensor(np.random.default_rng(9).normal(size=(2, 2, 8)))
-        a = M.assemble_tabular_sequence(views, bundle, use_pos=True)
-        b = M.assemble_tabular_sequence(views, bundle, use_pos=False)
-        np.testing.assert_array_equal(a.data, b.data)
 
     def test_rows_are_sums_with_pos(self):
         bundle = enc.random_bundle(CFG, seed=10)
         views = np.random.default_rng(11).normal(size=(2, 3, 8))
-        seq = M.assemble_tabular_sequence(Tensor(views), bundle, use_pos=True)
+        seq = M.assemble_tabular_sequence(Tensor(views), bundle)
         for b in range(2):
             np.testing.assert_allclose(
                 seq.data[b, 0], bundle.cls_token.data[0] + bundle.pos_embed.data[0])
@@ -146,7 +139,7 @@ class TestModelForward:
         model = M.build_model(
             AdapterConfig(input_dim=4, n_views=3, depth=1, out_dim=8),
             HeadConfig(in_dim=8, n_classes=3, depth=1),
-            bundle=bundle, layer_range=LayerRange(0, 1), use_pos=False,
+            bundle=bundle, layer_range=LayerRange(0, 1),
         )
         for w, b in model.adapter.layers:
             w.data[:] = 0.0
@@ -163,7 +156,7 @@ class TestModelForward:
         model = M.build_model(
             AdapterConfig(input_dim=3, n_views=2, depth=1, out_dim=4),
             HeadConfig(in_dim=4, n_classes=2, depth=1),
-            bundle=bundle, seed=13, use_pos=True,
+            bundle=bundle, seed=13,
         )
         x = np.random.default_rng(14).normal(size=3)
         got = M.model_forward(x[None], model).data[0]
@@ -228,13 +221,14 @@ class TestModelForward:
         out = M.model_forward(np.random.default_rng(20).normal(size=(2, 4)), model)
         assert out.shape == (2, 3)
 
-    def test_view_permutation_invariance_without_pos(self):
+    def test_view_permutation_invariance_with_equal_view_positions(self):
         bundle = enc.random_bundle(CFG, seed=21, scale=0.4)
-        model = toy_model(seed=22, use_pos=False, bundle=bundle)
+        bundle.pos_embed.data[2:] = bundle.pos_embed.data[1]  # CLS keeps its own row
+        model = toy_model(seed=22, bundle=bundle)
         views = np.random.default_rng(23).normal(size=(2, 3, 8))
 
         def logits_for(v):
-            seq = M.assemble_tabular_sequence(Tensor(v), bundle, use_pos=False)
+            seq = M.assemble_tabular_sequence(Tensor(v), bundle)
             out = enc.encoder_forward(seq, bundle, model.layer_range)
             return M._run_stack(T.take(out, 0, axis=-2), model.head.layers).data
 
@@ -250,7 +244,7 @@ class TestFreezeAndCounting:
         assert all(not p.tracked for p in model.parameter_groups()["encoder"])
         assert all(p.tracked for p in model.parameter_groups()["adapter"])
         assert all(p.tracked for p in model.parameter_groups()["head"])
-        M.set_freeze_mode(model, "fully_trained")
+        M.set_freeze_mode(model, "fine_tune")  # the slice is the whole encoder here
         assert all(p.tracked for p in model.parameters())
 
     def test_mode_transitions_idempotent(self):
@@ -260,24 +254,22 @@ class TestFreezeAndCounting:
         M.set_freeze_mode(model, "frozen")
         assert [p.tracked for p in model.parameters()] == first
 
-    @pytest.mark.parametrize("path", ["build", "checkpoint"])
-    def test_unknown_pool_is_named(self, tmp_path, path):
-        if path == "build":  # also without an encoder, where pool is never read
-            with pytest.raises(ContractError, match="'max'"):
-                M.build_model(AdapterConfig(input_dim=4, n_views=3, out_dim=CFG.dim),
-                              HeadConfig(in_dim=CFG.dim, n_classes=3), pool="max")
-        else:
-            file = tmp_path / "model.weights"
-            M.save_checkpoint(toy_model(seed=37), file)
-            tensors, meta = wio.load_tensors(file)
-            meta["model"] = json.dumps({**json.loads(meta["model"]), "pool": "max"})
-            wio.save_tensors(file, tensors, metadata=meta)
-            with pytest.raises(VistabError, match="'max'"):
-                M.load_checkpoint(file)
+    @pytest.mark.parametrize("field, value", [("pool", "cls"), ("use_pos", True),
+                                              ("freeze_mode", "fully_trained")])
+    def test_a_removed_setting_in_a_checkpoint_is_named(self, tmp_path, field, value):
+        file = tmp_path / "model.weights"
+        M.save_checkpoint(toy_model(seed=37), file)
+        tensors, meta = wio.load_tensors(file)
+        meta["model"] = json.dumps({**json.loads(meta["model"]), field: value})
+        wio.save_tensors(file, tensors, metadata=meta)
+        with pytest.raises(ConfigError, match=f"'model'.*'{field}'"):
+            M.load_checkpoint(file)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ContractError):
-            M.set_freeze_mode(toy_model(), "half_frozen")
+    @pytest.mark.parametrize("mode", ["half_frozen", "fully_trained"])
+    def test_unknown_mode(self, mode):
+        with pytest.raises(ContractError, match=re.escape(f"{mode!r}; expected one of "
+                                                          "('frozen', 'fine_tune')")):
+            M.set_freeze_mode(toy_model(), mode)
 
     def test_trainable_count_shape_arithmetic(self):
         bundle = enc.random_bundle(EncoderConfig(depth=1, dim=8, heads=2, mlp_ratio=2, max_seq=4),
@@ -296,7 +288,7 @@ class TestFreezeAndCounting:
             AdapterConfig(input_dim=4, n_views=2, depth=1, out_dim=8),
             HeadConfig(in_dim=8, n_classes=2, depth=1),
             bundle=enc.random_bundle(cfg, scale=0.0, with_patch=True),
-            layer_range=LayerRange(1, 3), use_pos=True,
+            layer_range=LayerRange(1, 3),
         )
         M.set_freeze_mode(model, "fine_tune")
         block = 2 * (2 * 8) + 4 * (8 * 8 + 8) + (8 * 16 + 16) + (16 * 8 + 8)
@@ -304,18 +296,16 @@ class TestFreezeAndCounting:
         assert M.count_trainable(model) == (2 * (4 * 8 + 8) + (8 * 2 + 2)
                                             + 2 * block + 8 + 4 * 8 + 2 * 8)
 
-    @pytest.mark.parametrize("use_pos", [True, False])
-    @pytest.mark.parametrize("pool", M.POOLS)
     @pytest.mark.parametrize("layer_range", [LayerRange(0, 1), LayerRange(1, 2), LayerRange(2, 3),
                                              LayerRange(0, 2), LayerRange(1, 3), LayerRange(0, 3)],
                              ids=lambda r: f"{r.start}-{r.end}")
     @pytest.mark.parametrize("mode", M.FREEZE_MODES)
-    def test_gradients_reach_exactly_the_tracked_tensors(self, mode, layer_range, pool, use_pos):
+    def test_gradients_reach_exactly_the_tracked_tensors(self, mode, layer_range):
         cfg = EncoderConfig(depth=3, dim=8, heads=2, mlp_ratio=2, max_seq=5, patch=2)
         bundle = enc.random_bundle(cfg, seed=38, scale=0.3, with_patch=True)
         model = M.build_model(AdapterConfig(input_dim=4, n_views=3, out_dim=8),
                               HeadConfig(in_dim=8, n_classes=3), bundle=bundle,
-                              layer_range=layer_range, seed=39, use_pos=use_pos, pool=pool)
+                              layer_range=layer_range, seed=39)
         bundle.set_tracked(True)  # the mode, not what tracked before, decides
         M.set_freeze_mode(model, mode)
         rng = np.random.default_rng(40)
@@ -327,7 +317,7 @@ class TestFreezeAndCounting:
         assert [p.grad is not None for p in params] == [p.tracked for p in params]
         blocks = len(bundle.layers[0].tensors()) * (layer_range.end - layer_range.start)
         expected = 0 if mode == "frozen" else (
-            blocks + 1 + use_pos + 2 * (layer_range.end == cfg.depth))  # CLS, pos, final norm
+            blocks + 2 + 2 * (layer_range.end == cfg.depth))  # CLS, pos, final norm
         assert sum(p.tracked for p in bundle.parameters()) == expected
 
     def test_layer_range_without_an_encoder_is_refused(self):
@@ -335,11 +325,11 @@ class TestFreezeAndCounting:
             M.build_model(AdapterConfig(input_dim=4, n_views=3, out_dim=CFG.dim),
                           HeadConfig(in_dim=CFG.dim, n_classes=3), layer_range=LayerRange(0, 2))
 
-    def test_fully_trained_count_dominates(self):
+    def test_fine_tune_count_dominates(self):
         model = toy_model(seed=26)
         M.set_freeze_mode(model, "frozen")
         frozen = M.count_trainable(model)
-        M.set_freeze_mode(model, "fully_trained")
+        M.set_freeze_mode(model, "fine_tune")
         assert M.count_trainable(model) >= frozen
 
 
@@ -451,7 +441,7 @@ class TestCheckpoint:
             AdapterConfig(input_dim=4, n_views=3, depth=2, hidden_dim=None, out_dim=cfg.dim),
             HeadConfig(in_dim=cfg.dim, n_classes=3, depth=2, hidden_dim=5),
             bundle=enc.random_bundle(cfg, seed=36, scale=0.3), layer_range=LayerRange(0, 1),
-            seed=36, use_pos=False, pool="mean")
+            seed=36)
         M.set_freeze_mode(model, "fine_tune")
         path = tmp_path / "fine_tune.weights"
         M.save_checkpoint(model, path)
@@ -459,13 +449,13 @@ class TestCheckpoint:
         assert loaded.adapter.config == model.adapter.config
         assert loaded.head.config == model.head.config
         assert loaded.encoder.config == cfg
-        assert (loaded.layer_range, loaded.use_pos, loaded.pool, loaded.freeze_mode) == (
-            LayerRange(0, 1), False, "mean", "fine_tune")
-        # fine_tune tracks the slice alone: block 0 and CLS (use_pos is off, the range
-        # stops short of the final norm), in the saved model and in the reloaded one
+        assert (loaded.layer_range, loaded.freeze_mode) == (LayerRange(0, 1), "fine_tune")
+        # fine_tune tracks the slice alone: block 0, CLS and pos_embed (the range stops
+        # short of the final norm), in the saved model and in the reloaded one
         tracked = [p.tracked for p in loaded.parameters()]
         assert tracked == [p.tracked for p in model.parameters()]
-        want = {id(t) for t in loaded.encoder.layers[0].tensors()} | {id(loaded.encoder.cls_token)}
+        want = {id(t) for t in loaded.encoder.layers[0].tensors()} | {
+            id(loaded.encoder.cls_token), id(loaded.encoder.pos_embed)}
         assert {id(p) for p in loaded.encoder.parameters() if p.tracked} == want
         x = np.random.default_rng(37).normal(size=(2, 4))
         np.testing.assert_array_equal(
@@ -502,10 +492,9 @@ class TestCheckpoint:
         ("encoder", lambda v: json.dumps({k: x for k, x in json.loads(v).items() if k != "heads"})),
         ("layer_range", lambda v: json.dumps({"start": 1, "end": 5})),
         ("layer_range", lambda v: json.dumps({"start": 2, "end": 1})),
-        ("model", lambda v: json.dumps({**json.loads(v), "pool": "max"})),
         ("model", lambda v: json.dumps({**json.loads(v), "freeze_mode": "bogus"})),
     ], ids=["missing", "not_json", "not_object", "unknown_field", "missing_field",
-            "range_past_depth", "range_reversed", "unknown_pool", "unknown_freeze_mode"])
+            "range_past_depth", "range_reversed", "unknown_freeze_mode"])
     def test_bad_metadata_raises_config_error_naming_key(self, tmp_path, key, edit):
         path = tmp_path / "model.weights"
         M.save_checkpoint(toy_model(seed=39), path)
@@ -556,3 +545,20 @@ def _stored_config(key, field, value):
 def test_size_below_one_is_refused_naming_the_field(tmp_path, make, error, named):
     with pytest.raises(error, match=re.escape(named) + " must be >= 1"):
         make(tmp_path)
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: EncoderConfig(depth=2.5, dim=8, heads=2), "EncoderConfig.depth"),
+    (lambda: EncoderConfig(depth="2", dim=8, heads=2), "EncoderConfig.depth"),
+    (lambda: EncoderConfig(depth=1, dim=8, heads=2, max_seq=6.0), "EncoderConfig.max_seq"),
+    (lambda: AdapterConfig(input_dim=np.int64(4), n_views=2), "AdapterConfig.input_dim"),
+    (lambda: AdapterConfig(input_dim=4, n_views=True), "AdapterConfig.n_views"),
+    (lambda: HeadConfig(in_dim=8, n_classes=3.0), "HeadConfig.n_classes"),
+    (lambda: LayerRange(0, 1.5).validate(2), "LayerRange.end"),
+    (lambda: LayerRange(False, 1).validate(2), "LayerRange.start"),
+], ids=["float_depth", "str_depth", "float_max_seq", "numpy_input_dim", "bool_n_views",
+        "float_n_classes", "float_range_end", "bool_range_start"])
+def test_size_that_is_not_an_int_is_refused_naming_the_field(make, named):
+    # exactly what a checkpoint's metadata holds, so a config that constructs also reloads
+    with pytest.raises(ContractError, match=re.escape(named) + " must be an int"):
+        make()

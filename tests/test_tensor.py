@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import finite_diff_grad
 from vistab import tensor as T
 from vistab.errors import ContractError, DimensionError, TapeError
-from vistab.tensor import Tape, Tensor, backward, finite_diff_grad
+from vistab.tensor import Tape, Tensor, backward
 
 
 def rel_err(got: np.ndarray, want: np.ndarray) -> float:
@@ -336,17 +337,6 @@ class TestBackward:
             assert not any(np.may_share_memory(g, other) for other in grads[i + 1:])
 
 
-class TestFiniteDiff:
-    def test_quadratic(self):
-        got = finite_diff_grad(lambda x: T.tsum(T.mul(x, x)), Tensor([3.0]), h=1e-5)
-        assert abs(got[0] - 6.0) < 1e-7
-
-    def test_cubic(self):
-        got = finite_diff_grad(
-            lambda x: T.tsum(T.mul(T.mul(x, x), x)), Tensor([2.0]), h=1e-4)
-        assert abs(got[0] - 12.0) < 1e-6
-
-
 LAYER_CASES = {
     "matmul": lambda x, aux: T.tsum(T.mul(T.matmul(x, aux["w"]), aux["m"])),
     "gelu": lambda x, aux: T.tsum(T.mul(T.gelu(x), aux["mx"])),
@@ -426,6 +416,23 @@ def test_mean_and_cross_entropy_refuse_an_input_without_elements(op, match):
 ], ids=["sum_past_last_axis", "sum_before_first_axis", "sum_tuple_axis", "mean_tuple_axis",
         "mean_float_axis", "softmax_empty_last_axis"])
 def test_sum_mean_and_softmax_refuse_an_axis_the_tensor_lacks(op, match):
+    with pytest.raises(DimensionError, match=match):
+        op(Tensor(np.zeros((2, 3))))
+
+
+@pytest.mark.parametrize("op, match", [
+    (lambda x: T.concat([x, Tensor(np.zeros((2, 4)))]),
+     r"cannot concatenate shapes \[\(2, 3\), \(2, 4\)\] along axis 0"),
+    (lambda x: T.concat([x, x], axis=5), r"cannot concatenate shapes .* along axis 5"),
+    (lambda x: T.concat([]), r"cannot concatenate shapes \[\] along axis 0"),
+    (lambda x: T.stack([x, Tensor(np.zeros((3, 2)))]),
+     r"cannot stack shapes \[\(2, 3\), \(3, 2\)\] along axis 0"),
+    (lambda x: T.swap_axes(x, 0, 5), r"axis 5 out of range for shape \(2, 3\)"),
+    (lambda x: T.reshape(x, (4,)), r"cannot reshape \(2, 3\) to \(4,\)"),
+    (lambda x: T.expand_leading(x, -1), r"cannot repeat shape \(2, 3\) -1 times"),
+], ids=["concat_mismatch", "concat_no_such_axis", "concat_nothing", "stack_mismatch",
+        "swap_no_such_axis", "reshape_wrong_size", "expand_negative"])
+def test_shape_ops_refuse_shapes_they_cannot_join_or_axes_the_tensor_lacks(op, match):
     with pytest.raises(DimensionError, match=match):
         op(Tensor(np.zeros((2, 3))))
 

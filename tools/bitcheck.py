@@ -4,16 +4,18 @@
     python3 tools/bitcheck.py compare A.npz B.npz
 
 ``dump`` writes the logits, the untaped eval logits and every parameter gradient of
-a cross-entropy step for dims 24, 64 and 192 × the cls and mean pools × frozen and
-fine_tune × layer ranges (0, 2) and (1, 3) of a depth-3 encoder × batches 1, 2, 16
-and 33 × the block split (``encoder._parts``) as the environment sets it, forced to 1
-and forced to 2. Run it with ``OPENBLAS_NUM_THREADS`` unset and set to 1 (large
-blocks then split on their own). It also writes ``X``, ``y``, the categories and
-the label names that ``data.load_csv`` reads from the benchmark generator's CSVs
-for the ``frozen_train`` (2,000 rows) and ``ingest_noenc`` (100,000 rows) shapes,
-seeds 1 to 3, and from seeded CSVs whose numbers only Python's ``float()`` reads,
-not a C parser such as ``np.loadtxt`` (see ``exotic_csv``). ``compare`` lists the
-arrays whose bits differ or that one file lacks, and exits 1 if there are any.
+a cross-entropy step of the model, which reads the CLS row, for dims 24, 64 and
+192 × frozen and fine_tune × layer ranges (0, 2) and (1, 3) of a depth-3 encoder ×
+batches 1, 2, 16 and 33 × the block split (``encoder._parts``) as the environment
+sets it, forced to 1 and forced to 2. Run it with ``OPENBLAS_NUM_THREADS`` unset
+and set to 1 (large blocks then split on their own); two dumps of one checkout must
+not differ, split blocks' gradients included. It also writes ``X``, ``y``, the
+categories and the label names that ``data.load_csv`` reads from the benchmark
+generator's CSVs for the ``frozen_train`` (2,000 rows) and ``ingest_noenc``
+(100,000 rows) shapes, seeds 1 to 3, and from seeded CSVs whose numbers only
+Python's ``float()`` reads, not a C parser such as ``np.loadtxt`` (see
+``exotic_csv``). ``compare`` lists the arrays whose bits differ or that one file
+lacks, and exits 1 if there are any.
 """
 
 import csv
@@ -41,13 +43,12 @@ def dump(path: str) -> None:
         for t in bundle.parameters():  # non-trivial LayerNorm gains and biases
             if t.data.ndim == 1:
                 t.data += rng.normal(0.0, 0.3, t.shape)
-        for pool, mode, (lo, hi), batch, split in itertools.product(
-                ("cls", "mean"), ("frozen", "fine_tune"), ((0, 2), (1, 3)),
-                (1, 2, 16, 33), splits):
+        for mode, (lo, hi), batch, split in itertools.product(
+                ("frozen", "fine_tune"), ((0, 2), (1, 3)), (1, 2, 16, 33), splits):
             enc._parts = splits[split]
             model = M.build_model(M.AdapterConfig(input_dim=7, n_views=8, out_dim=dim),
                                   M.HeadConfig(in_dim=dim, n_classes=3), bundle=bundle,
-                                  layer_range=enc.LayerRange(lo, hi), seed=dim, pool=pool)
+                                  layer_range=enc.LayerRange(lo, hi), seed=dim)
             M.set_freeze_mode(model, mode)
             data = np.random.default_rng(batch)
             x, y = data.normal(size=(batch, 7)), data.integers(0, 3, batch)
@@ -55,7 +56,7 @@ def dump(path: str) -> None:
             with T.Tape():
                 logits = M.model_forward(x, model)
                 T.backward(T.cross_entropy(logits, y))
-            key = f"d{dim}-{pool}-{mode}-{lo}{hi}-b{batch}-{split}/"
+            key = f"d{dim}-{mode}-{lo}{hi}-b{batch}-{split}/"
             out[key + "logits"] = logits.data
             out[key + "eval_logits"] = M.model_forward(x, model).data
             for group, params in model.parameter_groups().items():
