@@ -254,7 +254,8 @@ class TestFreezeAndCounting:
         M.set_freeze_mode(model, "frozen")
         assert [p.tracked for p in model.parameters()] == first
 
-    @pytest.mark.parametrize("field, value", [("pool", "cls"), ("use_pos", True),
+    @pytest.mark.parametrize("field, value", [("pool", "cls"), ("pool", "mean"),
+                                              ("use_pos", True), ("use_pos", False),
                                               ("freeze_mode", "fully_trained")])
     def test_a_removed_setting_in_a_checkpoint_is_named(self, tmp_path, field, value):
         file = tmp_path / "model.weights"
@@ -300,7 +301,16 @@ class TestFreezeAndCounting:
                                              LayerRange(0, 2), LayerRange(1, 3), LayerRange(0, 3)],
                              ids=lambda r: f"{r.start}-{r.end}")
     @pytest.mark.parametrize("mode", M.FREEZE_MODES)
-    def test_gradients_reach_exactly_the_tracked_tensors(self, mode, layer_range):
+    @pytest.mark.parametrize("parts", [1, 2], ids=["whole_batch", "split_batch"])
+    @pytest.mark.parametrize("rows", ["cls_only", "every_row"])
+    def test_gradients_reach_exactly_the_tracked_tensors(self, monkeypatch, mode, layer_range,
+                                                         parts, rows):
+        # every_row runs the slice's last block on every row, as the block probes do;
+        # split_batch makes each block that can split its batch in two parts
+        if rows == "every_row":
+            forward = enc.encoder_forward
+            monkeypatch.setattr(enc, "encoder_forward", lambda t0, b, r, **_: forward(t0, b, r))
+        monkeypatch.setattr(enc, "_parts", lambda b, s, d: max(1, min(parts, b)))
         cfg = EncoderConfig(depth=3, dim=8, heads=2, mlp_ratio=2, max_seq=5, patch=2)
         bundle = enc.random_bundle(cfg, seed=38, scale=0.3, with_patch=True)
         model = M.build_model(AdapterConfig(input_dim=4, n_views=3, out_dim=8),
@@ -556,8 +566,24 @@ def test_size_below_one_is_refused_naming_the_field(tmp_path, make, error, named
     (lambda: HeadConfig(in_dim=8, n_classes=3.0), "HeadConfig.n_classes"),
     (lambda: LayerRange(0, 1.5).validate(2), "LayerRange.end"),
     (lambda: LayerRange(False, 1).validate(2), "LayerRange.start"),
+    # every other sized field, one each
+    (lambda: EncoderConfig(depth=1, dim=8.0, heads=2), "EncoderConfig.dim"),
+    (lambda: EncoderConfig(depth=1, dim=8, heads=np.int32(2)), "EncoderConfig.heads"),
+    (lambda: EncoderConfig(depth=1, dim=8, heads=2, mlp_ratio=True), "EncoderConfig.mlp_ratio"),
+    (lambda: EncoderConfig(depth=1, dim=8, heads=2, patch="4"), "EncoderConfig.patch"),
+    (lambda: EncoderConfig(depth=1, dim=8, heads=2, channels=3.0), "EncoderConfig.channels"),
+    (lambda: AdapterConfig(input_dim=4, n_views=2, depth=2.0), "AdapterConfig.depth"),
+    (lambda: AdapterConfig(input_dim=4, n_views=2, hidden_dim=np.int64(5)),
+     "AdapterConfig.hidden_dim"),
+    (lambda: AdapterConfig(input_dim=4, n_views=2, out_dim=8.0), "AdapterConfig.out_dim"),
+    (lambda: HeadConfig(in_dim=np.int64(8), n_classes=3), "HeadConfig.in_dim"),
+    (lambda: HeadConfig(in_dim=8, n_classes=3, depth=False), "HeadConfig.depth"),
+    (lambda: HeadConfig(in_dim=8, n_classes=3, hidden_dim=5.5), "HeadConfig.hidden_dim"),
 ], ids=["float_depth", "str_depth", "float_max_seq", "numpy_input_dim", "bool_n_views",
-        "float_n_classes", "float_range_end", "bool_range_start"])
+        "float_n_classes", "float_range_end", "bool_range_start", "float_dim", "numpy_heads",
+        "bool_mlp_ratio", "str_patch", "float_channels", "float_adapter_depth",
+        "numpy_adapter_hidden_dim", "float_out_dim", "numpy_in_dim", "bool_head_depth",
+        "float_head_hidden_dim"])
 def test_size_that_is_not_an_int_is_refused_naming_the_field(make, named):
     # exactly what a checkpoint's metadata holds, so a config that constructs also reloads
     with pytest.raises(ContractError, match=re.escape(named) + " must be an int"):

@@ -430,8 +430,21 @@ def test_sum_mean_and_softmax_refuse_an_axis_the_tensor_lacks(op, match):
     (lambda x: T.swap_axes(x, 0, 5), r"axis 5 out of range for shape \(2, 3\)"),
     (lambda x: T.reshape(x, (4,)), r"cannot reshape \(2, 3\) to \(4,\)"),
     (lambda x: T.expand_leading(x, -1), r"cannot repeat shape \(2, 3\) -1 times"),
+    (lambda x: T.concat([x, Tensor(np.zeros(3))]),
+     r"cannot concatenate shapes \[\(2, 3\), \(3,\)\] along axis 0"),
+    (lambda x: T.concat([x, x], axis=0.5), r"cannot concatenate shapes .* along axis 0.5"),
+    (lambda x: T.stack([]), r"cannot stack shapes \[\] along axis 0"),
+    (lambda x: T.stack([x, x], axis=-4), r"cannot stack shapes .* along axis -4"),
+    (lambda x: T.swap_axes(x, -3, 0), r"axis -3 out of range for shape \(2, 3\)"),
+    (lambda x: T.swap_axes(x, 0, "1"), r"axis '1' is not an integer"),
+    (lambda x: T.reshape(x, (-1, -1)), r"cannot reshape \(2, 3\) to \(-1, -1\)"),
+    (lambda x: T.reshape(x, (3, 2.0)), r"cannot reshape \(2, 3\) to \(3, 2.0\)"),
+    (lambda x: T.expand_leading(x, 2.5), r"cannot repeat shape \(2, 3\) 2.5 times"),
 ], ids=["concat_mismatch", "concat_no_such_axis", "concat_nothing", "stack_mismatch",
-        "swap_no_such_axis", "reshape_wrong_size", "expand_negative"])
+        "swap_no_such_axis", "reshape_wrong_size", "expand_negative", "concat_rank_mismatch",
+        "concat_axis_not_an_integer", "stack_nothing", "stack_no_such_axis",
+        "swap_negative_no_such_axis", "swap_axis_not_an_integer", "reshape_two_unknowns",
+        "reshape_size_not_an_integer", "expand_not_an_integer"])
 def test_shape_ops_refuse_shapes_they_cannot_join_or_axes_the_tensor_lacks(op, match):
     with pytest.raises(DimensionError, match=match):
         op(Tensor(np.zeros((2, 3))))
