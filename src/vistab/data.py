@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, ContractError, CsvParseError, StateError,
-                     StratificationError, class_labels)
+                     StratificationError, class_labels, seeded_rng)
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -208,7 +208,7 @@ def load_csv(path: str | Path, schema: dict | str | Path,
     """
     if isinstance(schema, (str, Path)):
         try:
-            schema = json.loads(Path(schema).read_text())
+            schema = json.loads(Path(schema).read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"schema {schema}: not a JSON file: {e}") from None
     if not isinstance(schema, dict) or "label" not in schema:
@@ -222,7 +222,7 @@ def load_csv(path: str | Path, schema: dict | str | Path,
     path = Path(path)
 
     try:
-        with path.open(newline="") as fh:
+        with path.open(encoding="utf-8", newline="") as fh:
             rows = csv.reader(fh)
             head = next(rows, None)
             if head is None:
@@ -327,7 +327,7 @@ def split(dataset: TabularDataset,
     """Disjoint, exhaustive (train, valid, test) parts, seeded, each class split in
     proportion to its count."""
     _, n_valid, n_test = split_sizes(len(dataset))
-    rng = np.random.default_rng(spec.seed)
+    rng = seeded_rng(spec.seed, "SplitSpec.seed")
     per_class = dataset.class_indices()
     counts = np.array([len(per_class[c]) for c in range(dataset.class_count)])
     test_alloc = _largest_remainder(counts, n_test)
@@ -353,7 +353,7 @@ def oversample(train: TabularDataset, seed: int = 0) -> TabularDataset:
         empty = [train.label_names[c] for c, k in counts.items() if k == 0]
         raise ContractError(f"cannot oversample empty classes: {empty}")
     majority = max(counts.values())
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     extra = []
     for c in range(train.class_count):
         deficit = majority - counts[c]
@@ -370,7 +370,7 @@ def nshot_subsample(train: TabularDataset, shots: int, seed: int = 0) -> Tabular
     if shots < 1:
         raise ContractError(f"shots must be at least 1, got {shots}")
     per_class = train.class_indices()
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     chosen = []
     for c in range(train.class_count):
         idx = per_class[c]

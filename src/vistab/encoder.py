@@ -45,8 +45,10 @@ row.
 
 A block may split its batch into k contiguous parts of whole sequences
 and run them on as many threads: the calling thread runs the first,
-worker threads made at the first split run the others, and the backward
-splits the same way. Attention mixes only the tokens of one sequence, so
+worker threads run the others, and the backward splits the same way. The
+workers start at whichever comes first: the first split, or the first
+:meth:`EncoderBundle.checksum` on more than one CPU, which hashes its
+tensors on them too. Attention mixes only the tokens of one sequence, so
 each part's rows get the whole batch's arithmetic, bit for bit; only the
 weight gradients, the sum of the parts', can differ in the last bit. The
 split only pays where each thread has enough work and a CPU to itself, so
@@ -62,17 +64,18 @@ bounds a CLS-only block to half its sequences' count of parts: numpy hands a
 one-row product to BLAS's gemv, whose last bits differ from gemm's, while
 from two rows up each row of a gemm comes out in the same bits whatever the
 row count. Only the calling thread records the tape op and runs public
-functions. The workers run the block's numpy arithmetic and the ``T._ln*``,
-``T._gelu_*`` and ``T._softmax`` kernels, never a public :mod:`vistab`
-function (a tracer that wraps those may keep one span stack for the
-process), and never give work to the workers themselves, so no worker waits
-on another.
+functions. The workers run the block's numpy arithmetic, the ``T._ln*``,
+``T._gelu_*`` and ``T._softmax`` kernels and the checksum's ``hashlib``
+digests, never a public :mod:`vistab` function (a tracer that wraps those
+may keep one span stack for the process), and never give work to the
+workers themselves, so no worker waits on another.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -87,7 +90,8 @@ import numpy as np
 
 from . import tensor as T
 from . import weights as wio
-from .errors import CapacityError, ConfigError, ContractError, DimensionError
+from .errors import (CapacityError, ConfigError, ContractError, DimensionError,
+                     seeded_rng)
 from .tensor import Tensor
 
 
@@ -218,11 +222,26 @@ class EncoderBundle:
         return {name: t.data for name, t in self._named()}
 
     def checksum(self) -> str:
-        """SHA-256 over the canonical tensor bytes; bit-change sensitive."""
+        """SHA-256, in sorted-name order, over each tensor's name followed by the
+        SHA-256 digest of its bytes; bit-change sensitive.
+
+        The tensor digests are split into ``min(_MAX_PARTS, _cpus())`` runs of sorted
+        names of about equal bytes, run by :func:`_spread`: the first on this thread,
+        the others on the worker threads, which ``hashlib`` runs without the GIL. The
+        workers call only ``hashlib``. The digest does not depend on the split.
+        """
+        named = sorted(self.named_tensors().items())
+        arrays = [np.ascontiguousarray(arr) for _, arr in named]  # a copy only when it must
+        ends = np.cumsum([arr.nbytes for arr in arrays])
+        k = min(_MAX_PARTS, _cpus(), len(arrays))
+        cuts = np.searchsorted(ends, ends[-1] * np.arange(1, k) / k) + 1
+        bounds = [0, *cuts.tolist(), len(arrays)]
+        runs = _spread([functools.partial(_digests, arrays[lo:hi])
+                        for lo, hi in zip(bounds, bounds[1:])])
         h = hashlib.sha256()
-        for name, arr in sorted(self.named_tensors().items()):
+        for (name, _), digest in zip(named, itertools.chain.from_iterable(runs), strict=True):
             h.update(name.encode())
-            h.update(np.ascontiguousarray(arr))  # hashes the buffer in place, no copy
+            h.update(digest)
         return h.hexdigest()
 
     @property
@@ -259,7 +278,7 @@ def random_bundle(config: EncoderConfig, seed: int = 0, scale: float = 0.02,
     ``scale=0.0`` zeroes CLS and ``pos_embed`` too, and makes every block a
     residual identity.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     draw = {"normal": lambda shape: rng.normal(0.0, scale, shape),
             "zeros": np.zeros, "ones": np.ones}
     return _build(config, with_patch, lambda name, shape, init: draw[init](shape))
@@ -382,7 +401,8 @@ def _parts(b: int, s: int, d: int) -> int:
 
 @functools.cache
 def _workers() -> ThreadPoolExecutor:
-    """The worker threads, made when a block first splits (no thread starts before)."""
+    """The worker threads, made when a block first splits or a checksum first hashes on
+    more than one CPU (no thread starts before)."""
     return ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="vistab-block")
 
 
@@ -402,6 +422,11 @@ def _spread(tasks: list) -> list:
     finally:
         futures_wait(futures)
     return [first] + [f.result() for f in futures]
+
+
+def _digests(arrays: list[np.ndarray]) -> list[bytes]:
+    """The SHA-256 digest of each array's bytes, each hashed in place."""
+    return [hashlib.sha256(arr).digest() for arr in arrays]
 
 
 def _sum_parts(parts: tuple) -> np.ndarray | None:

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and :func:`class_labels`, the one check
-every class label (a dataset's, a loss target's, a confusion matrix's) goes through."""
+"""Exception types shared across the package, :func:`class_labels`, the one check
+every class label (a dataset's, a loss target's, a confusion matrix's) goes through,
+and :func:`seeded_rng`, the one check every seed goes through."""
 
 import numpy as np
 
@@ -68,3 +69,11 @@ def class_labels(labels, n_classes: int, what: str = "label") -> np.ndarray:
     if bad.size:
         raise ContractError(f"{what} {bad[0]} is not a whole number in [0, {n_classes})")
     return raw.astype(np.int64)
+
+
+def seeded_rng(seed, what: str = "seed") -> np.random.Generator:
+    """``np.random.default_rng(seed)``; raises :class:`ContractError` naming `what` when
+    `seed` is not an ``int`` of at least 0 (a ``bool`` or a numpy integer is none)."""
+    if type(seed) is not int or seed < 0:
+        raise ContractError(f"{what} must be a non-negative int, got {seed!r}")
+    return np.random.default_rng(seed)

@@ -25,7 +25,8 @@ from . import encoder as enc
 from . import tensor as T
 from . import weights as wio
 from .encoder import EncoderBundle, LayerRange
-from .errors import CapacityError, ConfigError, ContractError, DimensionError
+from .errors import (CapacityError, ConfigError, ContractError, DimensionError,
+                     seeded_rng)
 from .tensor import Tensor
 
 # training from random weights is fine_tune on a random_bundle
@@ -96,7 +97,7 @@ class AdapterWeights(_DenseStack):
 
     @classmethod
     def init(cls, config: AdapterConfig, seed: int = 0) -> "AdapterWeights":
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         widths = config.layer_widths()
         # drawn view by view, then layer by layer, and stacked per layer
         views = [[_glorot(rng, i, o) for i, o in widths] for _ in range(config.n_views)]
@@ -113,7 +114,7 @@ class HeadWeights(_DenseStack):
 
     @classmethod
     def init(cls, config: HeadConfig, seed: int = 0) -> "HeadWeights":
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         return cls(config=config, layers=[
             (Tensor(_glorot(rng, i, o), tracked=True), Tensor(np.zeros(o), tracked=True))
             for i, o in config.layer_widths()])

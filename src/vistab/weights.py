@@ -7,7 +7,9 @@ header), then the concatenated little-endian raw data. An optional
 "__metadata__" key carries string pairs.
 
 Writes are canonical (names sorted, compact JSON, data in name order), so
-save -> load -> save is byte-identical.
+save -> load -> save is byte-identical. A load checks the whole header before
+it reads any data, then reads each tensor into an array of its own: no buffer
+holds the file, and no tensor is a view of another's memory.
 """
 
 from __future__ import annotations
@@ -55,10 +57,13 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray],
 def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a container; returns (tensors, metadata).
 
-    The file is read once into one writable buffer and every tensor is a
-    view into it, so loading copies nothing and the arrays may be updated
-    in place. Raises :class:`WeightFormatError` with a byte offset on
-    malformed input and never returns a partially decoded result.
+    The whole header is read and checked against the file's size first, so no
+    array is allocated for a record the file cannot hold. Then each tensor, in
+    offset order, is read straight into its own ``np.empty(shape, "<f8")``: the
+    arrays share no buffer, are copied nowhere after the read, may be updated
+    in place, and each frees its own memory when dropped. Raises
+    :class:`WeightFormatError` with a byte offset on malformed input and never
+    returns a partially decoded result.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -67,16 +72,26 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str
             raise WeightFormatError("file too short for header length field", offset=len(head))
         (header_len,) = struct.unpack("<Q", head)
         header_end = _HEADER_LEN_BYTES + header_len
-        # shift the file in the buffer so that the payload starts 8-byte aligned
-        pad = (-header_end) % 8
-        buf = np.empty(pad + size, dtype=np.uint8)
-        buf[pad:pad + _HEADER_LEN_BYTES] = np.frombuffer(head, dtype=np.uint8)
-        got = fh.readinto(memoryview(buf)[pad + _HEADER_LEN_BYTES:])
-    blob = buf[pad:pad + _HEADER_LEN_BYTES + got]
-    if len(blob) < header_end:
-        raise WeightFormatError("truncated header", offset=len(blob))
+        if size < header_end:
+            raise WeightFormatError("truncated header", offset=size)
+        header, metadata = _parse_header(fh.read(header_len))
+        tensors: dict[str, np.ndarray] = {}
+        for begin, end, name, shape in _spans(header, header_end, size - header_end):
+            arr = np.empty(shape, "<f8")
+            if end > begin:  # a buffer with a zero in its shape cannot be cast to bytes
+                fh.seek(header_end + begin)
+                got = fh.readinto(arr.data.cast("B"))
+                if got != end - begin:  # the file shrank after fstat
+                    raise WeightFormatError(f"tensor {name!r} data extends past end of file",
+                                            offset=header_end + begin + got)
+            tensors[name] = arr
+    return tensors, metadata
+
+
+def _parse_header(raw: bytes) -> tuple[dict, dict[str, str]]:
+    """The header's tensor records and its metadata, from the header's JSON bytes."""
     try:
-        header = json.loads(blob[_HEADER_LEN_BYTES:header_end].tobytes().decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except ValueError as e:  # also a bad UTF-8 byte, or an integer too long to parse
         pos = getattr(e, "pos", getattr(e, "start", 0))
         raise WeightFormatError(f"header is not valid JSON: {e}", offset=_HEADER_LEN_BYTES + pos)
@@ -85,10 +100,14 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str
     raw_meta = header.pop("__metadata__", {})
     if not isinstance(raw_meta, dict):
         raise WeightFormatError("__metadata__ must be a JSON object", offset=_HEADER_LEN_BYTES)
+    return header, {str(k): str(v) for k, v in raw_meta.items()}
 
-    metadata = {str(k): str(v) for k, v in raw_meta.items()}
-    data = blob[header_end:]
-    tensors: dict[str, np.ndarray] = {}
+
+def _spans(header: dict, header_end: int,
+           data_len: int) -> list[tuple[int, int, str, tuple[int, ...]]]:
+    """(begin, end, name, shape) of every tensor record, in offset order, each checked:
+    an F64 dtype, non-negative integer shape and offsets whose span holds the shape,
+    within the `data_len` bytes after the header, and overlapping no other record."""
     spans = []
     for name, info in header.items():
         try:
@@ -106,19 +125,19 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str
         if end - begin != nbytes:
             raise WeightFormatError(
                 f"tensor {name!r} declares bytes [{begin}, {end}) for shape {shape}")
-        if end > len(data):
-            raise WeightFormatError(
-                f"tensor {name!r} data extends past end of file", offset=header_end + end)
-        arr = data[begin:end].view("<f8").reshape(shape)
-        tensors[name] = np.ascontiguousarray(arr, dtype=np.float64)
-        spans.append((begin, end, name))
-    # views of overlapping ranges would alias: writing one tensor would change another
+        spans.append((begin, end, name, shape))
     spans.sort()
-    for (_, prev_end, prev), (begin, _, name) in zip(spans, spans[1:]):
+    # in offset order, so a file cut short is reported at the first tensor it cuts
+    prev_end, prev = 0, None
+    for begin, end, name, _ in spans:
         if begin < prev_end:
             raise WeightFormatError(f"tensor {name!r} overlaps tensor {prev!r}",
                                     offset=header_end + begin)
-    return tensors, metadata
+        if end > data_len:
+            raise WeightFormatError(
+                f"tensor {name!r} data extends past end of file", offset=header_end + end)
+        prev_end, prev = end, name
+    return spans
 
 
 def require(tensors: dict[str, np.ndarray], name: str,

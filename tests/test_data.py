@@ -1,6 +1,5 @@
 import csv
 import json
-import locale
 import math
 import re
 import statistics
@@ -50,8 +49,6 @@ def test_bad_schema_raises_config_error_naming_key(tmp_path, schema, key):
 
 @pytest.mark.parametrize("rows", [1, 5000], ids=["first_chunk", "later_chunk"])
 def test_load_csv_names_a_file_it_cannot_decode(tmp_path, rows):
-    if "\xff" == b"\xff".decode(locale.getpreferredencoding(False), "replace"):
-        pytest.skip("the locale's codec reads every byte")
     csv_path = tmp_path / "t.csv"
     csv_path.write_bytes(b"a,label\n" + b"1.5,yes\n" * rows + b"2.5,n\xffo\n")
     with pytest.raises(CsvParseError, match=re.escape(f"{csv_path}: cannot be decoded as")):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import finite_diff_grad
 from vistab import encoder as enc
@@ -776,6 +779,36 @@ def test_forward_entry_points_refuse_the_unbatched_layout(entry):
         call(Tensor(np.zeros(unbatched)))
 
 
+def flat_digest(bundle) -> str:
+    """One SHA-256 over every tensor's name and then its bytes, in sorted-name order: a
+    digest that changes with any drawn value or its order, to pin the draw order."""
+    h = hashlib.sha256()
+    for name, arr in sorted(bundle.named_tensors().items()):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def two_level_digest(bundle) -> str:
+    """``EncoderBundle.checksum``'s definition: SHA-256 over each name and then the
+    SHA-256 digest of its tensor's bytes, in sorted-name order."""
+    h = hashlib.sha256()
+    for name, arr in sorted(bundle.named_tensors().items()):
+        h.update(name.encode())
+        h.update(hashlib.sha256(np.ascontiguousarray(arr).tobytes()).digest())
+    return h.hexdigest()
+
+
+def distinct_bundle():
+    """A TOY bundle with the patch projection whose every value is drawn, so no two
+    tensors hold the same bytes (a fresh bundle's biases are all zeros)."""
+    bundle = enc.random_bundle(TOY, seed=25, with_patch=True)
+    rng = np.random.default_rng(26)
+    for t in bundle.parameters():
+        t.data[...] = rng.normal(size=t.shape)
+    return bundle
+
+
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         bundle = enc.random_bundle(TOY, seed=15, with_patch=True)
@@ -795,16 +828,42 @@ class TestSaveLoad:
         (TOY, 3, True, "d7db444f6e54d1d9777648677b4606f6b48ee17d0bdf2d9e95f16d0a7080e81c"),
     ], ids=["vit_tiny", "toy_with_patch"])
     def test_random_bundle_draw_order_is_pinned(self, cfg, seed, with_patch, digest):
-        assert enc.random_bundle(cfg, seed=seed, with_patch=with_patch).checksum() == digest
+        assert flat_digest(enc.random_bundle(cfg, seed=seed, with_patch=with_patch)) == digest
 
     def test_checksum_matches_hashlib_reference(self):
-        import hashlib
         bundle = enc.random_bundle(TOY, seed=21, with_patch=True)
-        h = hashlib.sha256()
-        for name, arr in sorted(bundle.named_tensors().items()):
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(arr).tobytes())
-        assert bundle.checksum() == h.hexdigest()
+        assert bundle.checksum() == two_level_digest(bundle)
+
+    def test_checksum_is_the_same_inline_and_split(self, monkeypatch):
+        bundle = enc.random_bundle(TOY, seed=24, with_patch=True)
+        digests = set()
+        for cpus in (1, 2):
+            monkeypatch.setattr(enc, "_cpus", lambda: cpus)
+            digests.add(bundle.checksum())
+        assert digests == {two_level_digest(bundle)}
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_checksum_sees_any_flipped_bit(self, data):
+        bundle = distinct_bundle()
+        before = bundle.checksum()
+        t = data.draw(st.sampled_from(bundle.parameters()))
+        bits = t.data.reshape(-1).view(np.uint64)
+        bits[data.draw(st.integers(0, bits.size - 1))] ^= np.uint64(1) << np.uint64(
+            data.draw(st.integers(0, 63)))
+        assert bundle.checksum() != before
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_checksum_sees_a_swap_of_same_shaped_tensors(self, data):
+        bundle = distinct_bundle()
+        before = bundle.checksum()
+        params = bundle.parameters()
+        a = data.draw(st.sampled_from(
+            [p for p in params if sum(q.shape == p.shape for q in params) > 1]))
+        b = data.draw(st.sampled_from([q for q in params if q is not a and q.shape == a.shape]))
+        a.data, b.data = b.data, a.data
+        assert bundle.checksum() != before
 
     def test_optional_patch_proj_omitted(self, tmp_path):
         bundle = enc.random_bundle(TOY, seed=16, with_patch=False)

@@ -1,8 +1,10 @@
 """The whole CSV -> split -> preprocess -> adapter + encoder -> MCC -> rank path, end to end."""
 
 import json
+import re
 
 import numpy as np
+import pytest
 
 from vistab import data as D
 from vistab import encoder as enc
@@ -10,6 +12,7 @@ from vistab import metrics as MT
 from vistab import model as M
 from vistab import tensor as T
 from vistab.encoder import EncoderConfig
+from vistab.errors import ContractError
 
 ENCODER = EncoderConfig(depth=2, dim=8, heads=2, mlp_ratio=2, max_seq=5)
 N_VIEWS = 4
@@ -79,3 +82,23 @@ def test_csv_to_mean_rank_over_two_arms(tmp_path):
     ranks = MT.rank_methods(MT.ScoreTable([dataset.name], list(arms), np.array([scores])))
     assert sorted(r["mean_rank"] for r in ranks.values()) in ([1.0, 2.0], [1.5, 1.5])
     assert [ranks[arm]["mean_score"] for arm in arms] == scores
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+@pytest.mark.parametrize("entry", ["split", "oversample", "nshot_subsample", "random_bundle",
+                                   "build_model"])
+def test_seeded_entry_points_refuse_a_bad_seed_naming_it(entry, seed):
+    ds = D.TabularDataset(np.arange(40.0).reshape(-1, 1), [0, 1] * 20, [D.NUMERIC],
+                          class_count=2)
+    call = {
+        "split": lambda: D.split(ds, D.SplitSpec(seed=seed)),
+        "oversample": lambda: D.oversample(ds, seed=seed),
+        "nshot_subsample": lambda: D.nshot_subsample(ds, 2, seed=seed),
+        "random_bundle": lambda: enc.random_bundle(ENCODER, seed=seed),
+        "build_model": lambda: M.build_model(
+            M.AdapterConfig(input_dim=1, n_views=N_VIEWS, out_dim=ENCODER.dim),
+            M.HeadConfig(in_dim=ENCODER.dim, n_classes=2), seed=seed),
+    }[entry]
+    with pytest.raises(ContractError,
+                       match=f"seed must be a non-negative int, got {re.escape(repr(seed))}"):
+        call()

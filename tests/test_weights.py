@@ -1,5 +1,8 @@
 import json
+import math
+import os
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -76,16 +79,36 @@ def test_require_missing_name(tmp_path):
         wio.require({"other": np.zeros(1)}, "pos_embed", (1,))
 
 
-def test_loaded_arrays_are_writable_aligned_views(tmp_path):
+def test_loaded_arrays_are_writable_aligned_and_own_their_data(tmp_path):
     path = tmp_path / "w"
-    wio.save_tensors(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(3)},
+    wio.save_tensors(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(3),
+                            "c": np.zeros((0, 2))},
                      metadata={"note": "x"})  # header length not a multiple of 8
     loaded, _ = wio.load_tensors(path)
     for arr in loaded.values():
         assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+        assert arr.flags.owndata and arr.base is None
     loaded["a"] -= 1.0  # an in-place optimizer step on reloaded weights
     np.testing.assert_array_equal(loaded["a"], np.arange(6.0).reshape(2, 3) - 1.0)
     np.testing.assert_array_equal(loaded["b"], np.ones(3))
+
+
+@pytest.mark.parametrize("shrinks_after_open", [False, True], ids=["cut", "cut_after_fstat"])
+@pytest.mark.parametrize("k", range(4))
+def test_file_cut_inside_a_tensor_names_it(tmp_path, monkeypatch, k, shrinks_after_open):
+    shapes = {"w0": (3, 4), "w1": (5,), "w2": (2, 2, 2), "w3": (7,)}
+    path = tmp_path / "w"
+    wio.save_tensors(path, {name: np.ones(shape) for name, shape in shapes.items()})
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[:8])
+    begin = 8 + hlen + sum(math.prod(shape) * 8 for shape in list(shapes.values())[:k])
+    path.write_bytes(blob[:begin + 8])  # one value of tensor k is left
+    if shrinks_after_open:  # the size read before the header still holds every tensor
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
+            st_size=max(fstat(fd).st_size, len(blob))))
+    with pytest.raises(WeightFormatError, match=f"tensor 'w{k}' data extends past end of file"):
+        wio.load_tensors(path)
 
 
 def _hand_built(path, header):

@@ -14,8 +14,9 @@ categories and the label names that ``data.load_csv`` reads from the benchmark
 generator's CSVs for the ``frozen_train`` (2,000 rows) and ``ingest_noenc``
 (100,000 rows) shapes, seeds 1 to 3, and from seeded CSVs whose numbers only
 Python's ``float()`` reads, not a C parser such as ``np.loadtxt`` (see
-``exotic_csv``). ``compare`` lists the arrays whose bits differ or that one file
-lacks, and exits 1 if there are any.
+``exotic_csv``), and every array that ``encoder.load_weights`` returns for a saved
+ViT-Tiny-shaped ``random_bundle``. ``compare`` lists the arrays whose bits differ or
+that one file lacks, and exits 1 if there are any.
 """
 
 import csv
@@ -65,6 +66,7 @@ def dump(path: str) -> None:
                         out[f"{key}{group}.{i}"] = p.grad
     enc._parts = natural
     out.update(csv_loads())
+    out.update(weight_loads())
     np.savez(path, **out)
     print(f"{len(out)} arrays written to {path}")
 
@@ -97,6 +99,18 @@ def csv_loads() -> dict[str, np.ndarray]:
             out[key + "X"], out[key + "y"] = ds.X, ds.y
             out[key + "label_names"] = np.array(json.dumps(ds.label_names))
     return out
+
+
+def weight_loads() -> dict[str, np.ndarray]:
+    """What ``load_weights`` reads back from a saved ViT-Tiny-shaped encoder."""
+    from vistab import encoder as enc
+
+    cfg = enc.EncoderConfig(depth=12, dim=192, heads=3, max_seq=17)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vit_tiny.weights"
+        enc.save_weights(enc.random_bundle(cfg, seed=1), path)
+        loaded = enc.load_weights(path, cfg)
+    return {f"load-vit_tiny/{name}": arr for name, arr in loaded.named_tensors().items()}
 
 
 def exotic_csv(path: Path, seed: int, padded_missing: bool) -> Path:
