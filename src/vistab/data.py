@@ -195,7 +195,10 @@ def load_csv(path: str | Path, schema: dict | str | Path,
 
     Schema keys: ``label`` (column name, or 0-based index when there is no
     header), ``kinds`` (name -> "numeric"/"categorical" mapping, or a list
-    in file order), ``header`` (default true). Cells "" and "?" are missing.
+    in file order), ``header`` (default true). Cells "" and "?" are missing, in a
+    feature column; a missing label raises :class:`CsvParseError`, and a ``kinds``
+    object naming a column the file lacks raises :class:`ConfigError`. A feature
+    column that ``kinds`` does not name is categorical.
 
     ``csv.reader`` is the one tokenizer and ``float()``'s rules the one number
     grammar. One pass over its rows checks each row's width and keeps the row's
@@ -246,6 +249,9 @@ def load_csv(path: str | Path, schema: dict | str | Path,
                 kinds_by_col = dict(zip(columns, kinds_decl))
             else:
                 kinds_by_col = dict(kinds_decl)
+                if lacking := [c for c in kinds_by_col if c not in columns]:
+                    raise ConfigError(f"{path}: schema 'kinds' names columns the file "
+                                      f"lacks: {lacking}")
             feature_idx = [i for i in range(len(columns)) if i != label_idx]
             kinds = [kinds_by_col.get(columns[i], CATEGORICAL) for i in feature_idx]
             for i, kind in zip(feature_idx, kinds):
@@ -281,7 +287,9 @@ def load_csv(path: str | Path, schema: dict | str | Path,
     categories = {}
     for j, cells in zip([j for j, kind in enumerate(kinds) if kind != NUMERIC], category_cells):
         categories[j], X[:, j] = _codes(cells, _MISSING)
-    vocab, y = _codes(label_cells, ())
+    vocab, y = _codes(label_cells, _MISSING)
+    if (gaps := np.isnan(y)).any():
+        raise CsvParseError(f"{path}: row {starts[gaps.argmax()]}: label is missing")
     return TabularDataset(X, y, kinds, len(vocab), categories,
                           name=name or path.stem, label_names=vocab)
 

@@ -79,7 +79,6 @@ import itertools
 import json
 import math
 import os
-import typing
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
@@ -95,19 +94,19 @@ from .errors import (CapacityError, ConfigError, ContractError, DimensionError,
 from .tensor import Tensor
 
 
-def require_sizes(config, *names: str) -> None:
-    """Raise :class:`ContractError` naming the first field among `names` of `config`
-    that is not an ``int`` of at least 1 (a ``bool`` or a numpy integer is none, as
-    in the checkpoint's JSON metadata); a field left at None passes."""
-    for name in names:
-        value = getattr(config, name)
-        if value is None:
+def require_sizes(config) -> None:
+    """Raise :class:`ContractError` naming the first field of dataclass `config` that is
+    not an ``int`` of at least 1 (a ``bool`` or a numpy integer is none, as in the
+    checkpoint's JSON metadata); None passes only in a field whose default is None."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value is None and f.default is None:
             continue
         if type(value) is not int:
-            raise ContractError(f"{type(config).__name__}.{name} must be an int, "
+            raise ContractError(f"{type(config).__name__}.{f.name} must be an int, "
                                 f"got {value!r}")
         if value < 1:
-            raise ContractError(f"{type(config).__name__}.{name} must be >= 1, got {value}")
+            raise ContractError(f"{type(config).__name__}.{f.name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ class EncoderConfig:
     channels: int = 1
 
     def __post_init__(self):
-        require_sizes(self, "depth", "dim", "heads", "mlp_ratio", "max_seq", "patch", "channels")
+        require_sizes(self)
         if self.dim % self.heads != 0:
             raise ContractError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.max_seq < 2:
@@ -141,11 +140,12 @@ class LayerRange:
     start: int
     end: int
 
+    def __post_init__(self):
+        for f in fields(self):
+            if type(value := getattr(self, f.name)) is not int:
+                raise ContractError(f"LayerRange.{f.name} must be an int, got {value!r}")
+
     def validate(self, depth: int) -> "LayerRange":
-        for name in ("start", "end"):
-            if type(getattr(self, name)) is not int:
-                raise ContractError(f"LayerRange.{name} must be an int, "
-                                    f"got {getattr(self, name)!r}")
         if not (0 <= self.start < self.end <= depth):
             raise ContractError(
                 f"layer range ({self.start}, {self.end}) invalid for depth {depth}")
@@ -602,7 +602,7 @@ def load_weights(path: str | Path, config: EncoderConfig) -> EncoderBundle:
     """Load a bundle and validate every shape against `config`, and against the file's own
     ``encoder`` config when it has one (a renamed third-party checkpoint has none)."""
     tensors, meta = wio.load_tensors(path)
-    if "encoder" in meta and (stored := config_from_metadata(meta)) != config:
+    if "encoder" in meta and (stored := read_config(meta, "encoder", EncoderConfig)) != config:
         differ = ", ".join(f"{k} {v!r} in the file, {getattr(config, k)!r} requested"
                            for k, v in asdict(stored).items() if v != getattr(config, k))
         raise ConfigError(f"{path}: encoder config differs: {differ}")
@@ -624,23 +624,12 @@ def bundle_from_tensors(tensors: dict[str, np.ndarray],
     return bundle
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON-read value is of the evaluated annotation `hint`.
+def read_metadata(meta: dict[str, str], key: str, names: Iterable[str]) -> dict:
+    """The JSON object under ``meta[key]``, holding exactly the fields `names`.
 
-    Exact types, so ``True`` is no ``int``; ``X | None`` admits None.
-    """
-    args = typing.get_args(hint)  # a union's members
-    return any(_fits(value, a) for a in args) if args else type(value) is hint
-
-
-def read_metadata(meta: dict[str, str], key: str, cls,
-                  names: Iterable[str] | None = None) -> dict:
-    """The JSON object under ``meta[key]``: exactly the fields `names` of dataclass `cls`.
-
-    `names` defaults to all of its fields.
-    Raises :class:`ConfigError` naming the key when the value is missing,
-    is not a JSON object, has unknown or missing fields, or holds a value
-    that is not of its field's annotated type (then naming the field too).
+    Raises :class:`ConfigError` naming the key when the value is missing, is not
+    JSON, is not a JSON object, or has unknown or missing fields. It checks no
+    field's value: a config's own constructor does (see :func:`read_config`).
     """
     if key not in meta:
         raise ConfigError(f"metadata has no {key!r} entry")
@@ -650,30 +639,21 @@ def read_metadata(meta: dict[str, str], key: str, cls,
         raise ConfigError(f"metadata {key!r} is not valid JSON: {e}") from None
     if not isinstance(value, dict):
         raise ConfigError(f"metadata {key!r} is not a JSON object: {meta[key]!r}")
-    declared = {f.name: f for f in fields(cls)}
-    names = set(declared if names is None else names)
+    names = set(names)
     if value.keys() != names:
         raise ConfigError(f"metadata {key!r}: unknown fields {sorted(value.keys() - names)}, "
                           f"missing fields {sorted(names - value.keys())}")
-    hints = typing.get_type_hints(cls)
-    for name in sorted(names):
-        if not _fits(value[name], hints[name]):
-            raise ConfigError(f"metadata {key!r}: field {name!r} must be "
-                              f"{declared[name].type}, got {value[name]!r}")
     return value
 
 
 def read_config(meta: dict[str, str], key: str, cls):
-    """The config dataclass `cls` stored as one JSON value under ``meta[key]``.
+    """The config dataclass `cls` stored as one JSON value under ``meta[key]``, an
+    object holding exactly the fields of `cls`.
 
-    A value its constructor refuses raises :class:`ConfigError` naming the key.
+    `cls`'s constructor checks every value. A value it refuses raises
+    :class:`ConfigError` naming the key and, as the constructor does, ``Class.field``.
     """
     try:
-        return cls(**read_metadata(meta, key, cls))
+        return cls(**read_metadata(meta, key, (f.name for f in fields(cls))))
     except ContractError as e:
         raise ConfigError(f"metadata {key!r}: {e}") from None
-
-
-def config_from_metadata(meta: dict[str, str]) -> EncoderConfig:
-    """Rebuild an EncoderConfig from a container's metadata block."""
-    return read_config(meta, "encoder", EncoderConfig)

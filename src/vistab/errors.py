@@ -56,7 +56,8 @@ class StratificationError(VistabError):
 
 
 class ConfigError(VistabError):
-    """A stored configuration (e.g. checkpoint metadata) is missing, malformed or incomplete."""
+    """A stored configuration (checkpoint metadata, a CSV schema) or a stored experiment
+    report is missing, malformed or incomplete."""
 
 
 def class_labels(labels, n_classes: int, what: str = "label") -> np.ndarray:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, class_labels
+from .errors import ConfigError, ContractError, class_labels
 
 
 @dataclass
@@ -160,8 +160,21 @@ class ExperimentReport:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ExperimentReport":
+        """The report :meth:`to_json_dict` gave `payload`; raises :class:`ConfigError`
+        naming the cause when `payload` is not an object, one of its entries is not of
+        its kind, or a row does not hold exactly the fields of :class:`ReportRow`."""
+        if not isinstance(payload, dict):
+            raise ConfigError(f"report is not a JSON object: {payload!r}")
+        for key, kind in (("rows", list), ("configs", dict), ("errors", list),
+                          ("extras", dict)):
+            if not isinstance(payload.get(key, kind()), kind):
+                raise ConfigError(f"report {key!r} is not a {kind.__name__}")
+        names = {f.name for f in fields(ReportRow)}
         report = cls()
-        for r in payload.get("rows", []):
+        for i, r in enumerate(payload.get("rows", [])):
+            if not isinstance(r, dict) or r.keys() != names:
+                raise ConfigError(f"report row {i} must hold exactly the fields "
+                                  f"{sorted(names)}, got {r!r}")
             report.rows.append(ReportRow(**r))
         report.configs = dict(payload.get("configs", {}))
         report.errors = list(payload.get("errors", []))
@@ -184,4 +197,13 @@ def emit_report(report: ExperimentReport, path: str | Path, format: str = "csv")
 
 
 def load_report_json(path: str | Path) -> ExperimentReport:
-    return ExperimentReport.from_json_dict(json.loads(Path(path).read_text()))
+    """The report :func:`emit_report` wrote as JSON to `path`; raises
+    :class:`ConfigError` naming `path` and the cause when the file is not JSON or
+    not such a report."""
+    try:
+        return ExperimentReport.from_json_dict(
+            json.loads(Path(path).read_text(encoding="utf-8")))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: not a JSON file: {e}") from None
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None

@@ -24,7 +24,7 @@ import numpy as np
 from . import encoder as enc
 from . import tensor as T
 from . import weights as wio
-from .encoder import EncoderBundle, LayerRange
+from .encoder import EncoderBundle, EncoderConfig, LayerRange
 from .errors import (CapacityError, ConfigError, ContractError, DimensionError,
                      seeded_rng)
 from .tensor import Tensor
@@ -50,7 +50,7 @@ class AdapterConfig:
     out_dim: int = 32
 
     def __post_init__(self):
-        enc.require_sizes(self, "input_dim", "n_views", "depth", "hidden_dim", "out_dim")
+        enc.require_sizes(self)
 
     def layer_widths(self) -> list[tuple[int, int]]:
         hidden = self.hidden_dim if self.hidden_dim is not None else self.out_dim
@@ -65,7 +65,7 @@ class HeadConfig:
     hidden_dim: int | None = None
 
     def __post_init__(self):
-        enc.require_sizes(self, "in_dim", "n_classes", "depth", "hidden_dim")
+        enc.require_sizes(self)
         if self.n_classes < 2:
             raise ContractError("head needs at least two classes")
 
@@ -278,14 +278,14 @@ def load_checkpoint(path: str | Path) -> VisTabNet:
          for pair in stack] for stack in _dense_slots(adapter_cfg, head_cfg))
     bundle = layer_range = None
     if "encoder" in meta:
-        encoder_cfg = enc.config_from_metadata(meta)
+        encoder_cfg = enc.read_config(meta, "encoder", EncoderConfig)
         layer_range = enc.read_config(meta, "layer_range", LayerRange)
         try:  # a range that the stored encoder's depth does not hold
             layer_range.validate(encoder_cfg.depth)
         except ContractError as e:
             raise ConfigError(f"metadata 'layer_range': {e}") from None
         bundle = enc.bundle_from_tensors(tensors, encoder_cfg)
-    stored = enc.read_metadata(meta, "model", VisTabNet, _MODEL_FIELDS)
+    stored = enc.read_metadata(meta, "model", _MODEL_FIELDS)
     if stored["freeze_mode"] not in FREEZE_MODES:
         raise ConfigError(f"metadata 'model': field 'freeze_mode' must be one of "
                           f"{FREEZE_MODES}, got {stored['freeze_mode']!r}")

@@ -19,8 +19,10 @@ The LayerNorm, GELU and softmax rules are each stated once, in the ``_ln*``,
 ``_gelu_*`` and ``_softmax`` kernels, which the ops here and the encoder's
 fused ``_block`` share. They work on plain arrays, record nothing and return
 fresh arrays, updated in place where an operation need not make another one.
-Fresh arrays cost no page faults from one step to the next: see the
-allocation paragraph below.
+A step's fresh arrays mostly reuse the memory the last step freed, so they cost
+few page faults (see the allocation paragraph below), though not none: a
+fine_tune step of a two-block ViT-Tiny slice at batch 16 took 26–32 minor
+faults, about 100 KB faulted in again, on one CPU of a 2-CPU x86-64 VM.
 
 Allocation: importing this module sets glibc's malloc thresholds once, for
 the whole process, to their documented ceiling (mallopt(3)): arrays below

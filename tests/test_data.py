@@ -55,6 +55,24 @@ def test_load_csv_names_a_file_it_cannot_decode(tmp_path, rows):
         D.load_csv(csv_path, {"label": "label", "kinds": {"a": "numeric"}})
 
 
+@pytest.mark.parametrize("label", ["", "?", " ? ", "\xa0"],
+                         ids=["empty", "question_mark", "padded_question_mark", "padded_empty"])
+def test_load_csv_names_the_row_of_a_missing_label(tmp_path, label):
+    # the third record starts on file line 5: the second holds a quoted newline
+    csv_path = write_csv(tmp_path / "t.csv", [["a", "label"], ["1", "x"], ["2\n", "x"],
+                                              ["3", label], ["4", ""]])
+    with pytest.raises(CsvParseError, match=re.escape(f"{csv_path}: row 5: label is missing")):
+        D.load_csv(csv_path, {"label": "label", "kinds": {"a": "numeric"}})
+
+
+def test_load_csv_names_the_kinds_the_file_lacks(tmp_path):
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text("num0,cat0,label\n1.5,x,yes\n2.5,y,no\n")
+    kinds = {"nmu0": "numeric", "cat0": "categorical", "extra": "numeric"}
+    with pytest.raises(ConfigError, match=re.escape("lacks: ['nmu0', 'extra']")):
+        D.load_csv(csv_path, {"label": "label", "kinds": kinds})
+
+
 @pytest.mark.parametrize("text", [b"{label: a}", b"\xff"], ids=["not_json", "not_text"])
 def test_load_csv_names_a_schema_file_that_is_not_json(tmp_path, text):
     csv_path, schema = tmp_path / "t.csv", tmp_path / "t.json"

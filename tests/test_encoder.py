@@ -9,7 +9,7 @@ import signal
 import sys
 import threading
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,15 @@ from vistab.tensor import Tape, Tensor, backward
 
 TOY = EncoderConfig(depth=2, dim=8, heads=2, mlp_ratio=2, max_seq=6)
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# every config a checkpoint stores, by its metadata key: the class and valid fields
+STORED_CONFIGS = {
+    "encoder": (EncoderConfig, asdict(TOY)),
+    "adapter": (M.AdapterConfig,
+                {"input_dim": 4, "n_views": 2, "depth": 2, "hidden_dim": 5, "out_dim": 8}),
+    "head": (M.HeadConfig, {"in_dim": 8, "n_classes": 3, "depth": 2, "hidden_dim": 5}),
+    "layer_range": (LayerRange, {"start": 0, "end": 1}),
+}
+WRONG_TYPES = {"str": "2", "bool": True, "float": 2.0, "list": [2], "null": None}
 
 
 def reference_block(x, L, heads):
@@ -924,18 +933,24 @@ class TestSaveLoad:
         path = tmp_path / "meta.weights"
         enc.save_weights(bundle, path)
         _, meta = wio.load_tensors(path)
-        assert enc.config_from_metadata(meta) == TOY
+        assert enc.read_config(meta, "encoder", EncoderConfig) == TOY
 
-    @pytest.mark.parametrize("field, value", [
-        ("depth", "2"), ("depth", True), ("depth", 2.0), ("depth", None), ("depth", [2]),
-    ], ids=["str", "bool", "float", "null", "list"])
-    def test_metadata_value_of_wrong_type_names_field(self, field, value):
-        fields = {**asdict(TOY), field: value}
-        with pytest.raises(ConfigError, match=f"'encoder': field '{field}'"):
-            enc.config_from_metadata({"encoder": json.dumps(fields)})
+    @pytest.mark.parametrize("key, field, value", [
+        pytest.param(key, f.name, value, id=f"{key}.{f.name}-{kind}")
+        for key, (cls, _) in STORED_CONFIGS.items() for f in fields(cls)
+        for kind, value in WRONG_TYPES.items()
+        if not (value is None and f.default is None)])  # null is a None default's own value
+    def test_metadata_value_of_wrong_type_names_field(self, key, field, value):
+        cls, valid = STORED_CONFIGS[key]
+        stored = {key: json.dumps({**valid, field: value})}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"'{key}': {cls.__name__}.{field} must be an int")):
+            enc.read_config(stored, key, cls)
 
-    def test_optional_int_accepts_null(self):
-        fields = {"input_dim": 4, "n_views": 2, "depth": 2, "hidden_dim": None,
-                  "out_dim": 8}
-        got = enc.read_config({"adapter": json.dumps(fields)}, "adapter", M.AdapterConfig)
-        assert got == M.AdapterConfig(**fields)
+    @pytest.mark.parametrize("key", ["adapter", "head"])
+    def test_optional_int_accepts_null(self, key):
+        cls, valid = STORED_CONFIGS[key]
+        values = {**valid, "hidden_dim": None}
+        got = enc.read_config({key: json.dumps(values)}, key, cls)
+        assert got == cls(**values)
+        assert json.loads(json.dumps(asdict(got))) == values

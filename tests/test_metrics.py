@@ -1,5 +1,7 @@
 import csv
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vistab import metrics as ev
-from vistab.errors import ContractError
+from vistab.errors import ConfigError, ContractError
 from vistab.metrics import ConfusionMatrix, ExperimentReport, ScoreTable
 
 
@@ -197,6 +199,25 @@ class TestReports:
         loaded = ev.load_report_json(path)
         assert loaded.rows == report.rows
         assert loaded.configs == report.configs
+
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda text: text[:-1], "not a JSON file"),
+        (lambda text: b"\xff" + text, "not a JSON file"),
+        (lambda text: b"[]", "report is not a JSON object"),
+        (lambda text: b'{"rows": 3}', "report 'rows' is not a list"),
+        (lambda text: b'{"extras": []}', "report 'extras' is not a dict"),
+        (lambda text: b'{"rows": ["x"]}', "report row 0 must hold exactly the fields"),
+        (lambda text: json.dumps({"rows": [{k: v for k, v in row.items() if k != "mcc"}
+                                           for row in json.loads(text)["rows"]]}).encode(),
+         "report row 0 must hold exactly the fields"),
+    ], ids=["not_json", "not_text", "not_object", "rows_not_list", "extras_not_object",
+            "row_not_object", "row_missing_field"])
+    def test_a_stored_report_that_is_not_one_names_path_and_cause(self, tmp_path, edit, cause):
+        path = tmp_path / "report.json"
+        ev.emit_report(self.make_report(), path, format="json")
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {cause}")):
+            ev.load_report_json(path)
 
     def test_config_hash_rederives(self, tmp_path):
         report = self.make_report()

@@ -1,7 +1,9 @@
+import functools
 import json
 import math
 import re
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -477,8 +479,8 @@ class TestCheckpoint:
         enc.save_weights(model.encoder, tmp_path / "encoder.weights")
         _, from_checkpoint = wio.load_tensors(path)
         _, from_weights = wio.load_tensors(tmp_path / "encoder.weights")
-        assert enc.config_from_metadata(from_checkpoint) == cfg
-        assert enc.config_from_metadata(from_weights) == cfg
+        assert enc.read_config(from_checkpoint, "encoder", EncoderConfig) == cfg
+        assert enc.read_config(from_weights, "encoder", EncoderConfig) == cfg
 
     @pytest.mark.parametrize("name, wrong", [("adapter.layer0.weight", (3, 4, 7)),
                                              ("head.layer1.bias", (4,))],
@@ -557,6 +559,13 @@ def test_size_below_one_is_refused_naming_the_field(tmp_path, make, error, named
         make(tmp_path)
 
 
+# valid fields of each sized config; a case replaces one of them
+VALID_SIZES = {EncoderConfig: {"depth": 1, "dim": 8, "heads": 2},
+               AdapterConfig: {"input_dim": 4, "n_views": 2},
+               HeadConfig: {"in_dim": 8, "n_classes": 3},
+               LayerRange: {"start": 0, "end": 1}}
+
+
 @pytest.mark.parametrize("make, named", [
     (lambda: EncoderConfig(depth=2.5, dim=8, heads=2), "EncoderConfig.depth"),
     (lambda: EncoderConfig(depth="2", dim=8, heads=2), "EncoderConfig.depth"),
@@ -564,8 +573,8 @@ def test_size_below_one_is_refused_naming_the_field(tmp_path, make, error, named
     (lambda: AdapterConfig(input_dim=np.int64(4), n_views=2), "AdapterConfig.input_dim"),
     (lambda: AdapterConfig(input_dim=4, n_views=True), "AdapterConfig.n_views"),
     (lambda: HeadConfig(in_dim=8, n_classes=3.0), "HeadConfig.n_classes"),
-    (lambda: LayerRange(0, 1.5).validate(2), "LayerRange.end"),
-    (lambda: LayerRange(False, 1).validate(2), "LayerRange.start"),
+    (lambda: LayerRange(0, 1.5), "LayerRange.end"),
+    (lambda: LayerRange(False, 1), "LayerRange.start"),
     # every other sized field, one each
     (lambda: EncoderConfig(depth=1, dim=8.0, heads=2), "EncoderConfig.dim"),
     (lambda: EncoderConfig(depth=1, dim=8, heads=np.int32(2)), "EncoderConfig.heads"),
@@ -579,11 +588,16 @@ def test_size_below_one_is_refused_naming_the_field(tmp_path, make, error, named
     (lambda: HeadConfig(in_dim=np.int64(8), n_classes=3), "HeadConfig.in_dim"),
     (lambda: HeadConfig(in_dim=8, n_classes=3, depth=False), "HeadConfig.depth"),
     (lambda: HeadConfig(in_dim=8, n_classes=3, hidden_dim=5.5), "HeadConfig.hidden_dim"),
+    # None in every field whose default is not None
+    *[(functools.partial(cls, **{**valid, f.name: None}), f"{cls.__name__}.{f.name}")
+      for cls, valid in VALID_SIZES.items() for f in fields(cls) if f.default is not None],
 ], ids=["float_depth", "str_depth", "float_max_seq", "numpy_input_dim", "bool_n_views",
         "float_n_classes", "float_range_end", "bool_range_start", "float_dim", "numpy_heads",
         "bool_mlp_ratio", "str_patch", "float_channels", "float_adapter_depth",
         "numpy_adapter_hidden_dim", "float_out_dim", "numpy_in_dim", "bool_head_depth",
-        "float_head_hidden_dim"])
+        "float_head_hidden_dim",
+        *[f"null_{cls.__name__}.{f.name}" for cls in VALID_SIZES for f in fields(cls)
+          if f.default is not None]])
 def test_size_that_is_not_an_int_is_refused_naming_the_field(make, named):
     # exactly what a checkpoint's metadata holds, so a config that constructs also reloads
     with pytest.raises(ContractError, match=re.escape(named) + " must be an int"):
