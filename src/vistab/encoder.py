@@ -13,6 +13,15 @@ are the one list of canonical names, e.g.
 each with its shape and init, so third-party checkpoints can be converted
 by renaming alone.
 
+A bundle holds every one of them, or is a slice: :meth:`EncoderBundle.slice`
+keeps only what one layer range reads (its blocks, CLS, ``pos_embed``, and the
+final norm when the range reaches the last layer), as the very same
+:class:`~vistab.tensor.Tensor` objects, and the other layers are None. A model
+holds such a slice alone, so the rest of a loaded bundle is freed once its
+caller drops it, and the slice is all that the model tracks, checkpoints and
+hashes: :attr:`EncoderBundle.load_checksum` is the slice's
+:meth:`~EncoderBundle.checksum` when it was cut, and loading a file hashes nothing.
+
 Images and tabular rows reach the encoder in one layout, a leading batch
 axis and only that: :func:`patch_embed` takes ``(B, H, W, C)`` images and
 returns ``(B, n, D)`` patch tokens, the tabular adapter returns view
@@ -82,7 +91,7 @@ import os
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -152,14 +161,16 @@ class LayerRange:
         return self
 
 
-def _slot(name: str, shape: str, init: str, **kw):
-    """A tensor field's checkpoint name, shape and init.
+def _slot(name: str, shape: str, init: str, when: str = "always", **kw):
+    """A tensor field's checkpoint name, shape, init and presence.
 
     ``shape`` spells one letter per axis: ``d`` = dim, ``h`` = mlp_hidden,
     ``s`` = max_seq, ``p`` = patch² · channels, ``1`` = one. ``init`` is
     what :func:`random_bundle` draws: ``normal``, ``zeros`` or ``ones``.
+    ``when`` says which bundles hold it: ``always``; ``last``, a bundle whose
+    range reaches the last layer; ``patch``, a bundle made for pre-training.
     """
-    return field(metadata={"name": name, "shape": shape, "init": init}, **kw)
+    return field(metadata={"name": name, "shape": shape, "init": init, "when": when}, **kw)
 
 
 @dataclass
@@ -190,23 +201,30 @@ class EncoderLayer:
 
 @dataclass
 class EncoderBundle:
-    """Encoder configuration plus every transferable weight tensor."""
+    """Encoder configuration plus its weight tensors: every transferable one, or, in a
+    slice (:meth:`slice`), only those that one layer range reads.
+
+    ``layers`` always has ``config.depth`` entries; a layer that the bundle does not
+    hold is None, and so is the final norm of a slice that stops short of the last
+    layer.
+    """
 
     config: EncoderConfig
-    layers: list[EncoderLayer]
-    final_gain: Tensor = _slot("final_norm.weight", "d", "ones")
-    final_bias: Tensor = _slot("final_norm.bias", "d", "zeros")
+    layers: list[EncoderLayer | None]
+    final_gain: Tensor | None = _slot("final_norm.weight", "d", "ones", when="last")
+    final_bias: Tensor | None = _slot("final_norm.bias", "d", "zeros", when="last")
     pos_embed: Tensor = _slot("pos_embed", "sd", "normal")
     cls_token: Tensor = _slot("cls_token", "1d", "normal")
-    # optional: present on the pre-training path only
-    patch_proj: Tensor | None = _slot("patch_proj.weight", "pd", "normal", default=None)
-    patch_bias: Tensor | None = _slot("patch_proj.bias", "d", "zeros", default=None)
+    patch_proj: Tensor | None = _slot("patch_proj.weight", "pd", "normal", when="patch",
+                                      default=None)
+    patch_bias: Tensor | None = _slot("patch_proj.bias", "d", "zeros", when="patch",
+                                      default=None)
     _load_checksum: str | None = field(default=None, repr=False)
 
     def _named(self) -> list[tuple[str, Tensor]]:
         """(checkpoint name, tensor) for every tensor present, in spec order."""
         owners = [(_LAYER_PREFIX.format(i), layer, _LAYER_SLOTS)
-                  for i, layer in enumerate(self.layers)]
+                  for i, layer in enumerate(self.layers) if layer is not None]
         owners.append(("", self, _BUNDLE_SLOTS))
         return [(prefix + f.metadata["name"], t) for prefix, owner, slots in owners
                 for f in slots if (t := getattr(owner, f.name)) is not None]
@@ -244,8 +262,33 @@ class EncoderBundle:
             h.update(digest)
         return h.hexdigest()
 
+    def slice(self, layer_range: LayerRange) -> "EncoderBundle":
+        """The slice that :func:`assemble_sequence` and :func:`encoder_forward` read for
+        tokens run through `layer_range`: its blocks, CLS, ``pos_embed``, and the final
+        norm when the range reaches the last layer; never the patch projection.
+
+        It holds this bundle's own :class:`Tensor` objects, with no copy, so the
+        bundle's other tensors are freed once nothing else holds them. Its
+        :attr:`load_checksum` is its :meth:`checksum` as cut. Raises
+        :class:`ContractError` naming the first tensor of the range this bundle lacks.
+        """
+        layer_range.validate(self.config.depth)
+        own = dict(self._named())
+
+        def take(name, shape, init):
+            if name not in own:
+                raise ContractError(f"bundle has no tensor {name!r} for layer range "
+                                    f"({layer_range.start}, {layer_range.end})")
+            return own[name]
+
+        part = _build(self.config, take, layer_range)
+        part._load_checksum = part.checksum()
+        return part
+
     @property
     def load_checksum(self) -> str | None:
+        """The :meth:`checksum` of a slice when :meth:`slice` cut it (a model cuts its
+        encoder when it is made); None for any other bundle."""
         return self._load_checksum
 
 
@@ -255,18 +298,23 @@ _LAYER_SLOTS = tuple(f for f in fields(EncoderLayer) if "name" in f.metadata)
 _BUNDLE_SLOTS = tuple(f for f in fields(EncoderBundle) if "name" in f.metadata)
 
 
-def _build(config: EncoderConfig, with_patch: bool, make) -> EncoderBundle:
-    """A bundle whose every array is ``make(name, shape, init)``, called in spec order."""
+def _build(config: EncoderConfig, make, layer_range: LayerRange,
+           with_patch: bool = False) -> EncoderBundle:
+    """The slice of `layer_range` (the whole bundle when it spans every layer), with the
+    patch projection too when `with_patch`, whose every tensor is
+    ``make(name, shape, init)``, called in spec order."""
     dims = {"d": config.dim, "h": config.mlp_hidden, "s": config.max_seq,
             "p": config.patch ** 2 * config.channels, "1": 1}
+    held = {"always": True, "last": layer_range.end == config.depth, "patch": with_patch}
 
     def tensors(prefix, slots):
-        return {f.name: Tensor(make(prefix + f.metadata["name"],
-                                    tuple(dims[axis] for axis in f.metadata["shape"]),
-                                    f.metadata["init"]))
-                for f in slots if with_patch or f.default is MISSING}
+        return {f.name: make(prefix + f.metadata["name"],
+                             tuple(dims[axis] for axis in f.metadata["shape"]),
+                             f.metadata["init"]) if held[f.metadata["when"]] else None
+                for f in slots}
 
     layers = [EncoderLayer(**tensors(_LAYER_PREFIX.format(i), _LAYER_SLOTS))
+              if layer_range.start <= i < layer_range.end else None
               for i in range(config.depth)]
     return EncoderBundle(config=config, layers=layers, **tensors("", _BUNDLE_SLOTS))
 
@@ -281,7 +329,8 @@ def random_bundle(config: EncoderConfig, seed: int = 0, scale: float = 0.02,
     rng = seeded_rng(seed)
     draw = {"normal": lambda shape: rng.normal(0.0, scale, shape),
             "zeros": np.zeros, "ones": np.ones}
-    return _build(config, with_patch, lambda name, shape, init: draw[init](shape))
+    return _build(config, lambda name, shape, init: Tensor(draw[init](shape)),
+                  LayerRange(0, config.depth), with_patch)
 
 
 def patch_embed(images, bundle: EncoderBundle) -> Tensor:
@@ -571,6 +620,10 @@ def encoder_forward(t0: Tensor, bundle: EncoderBundle, layer_range: LayerRange,
     s = t0.shape[1]
     if s > cfg.max_seq:
         raise CapacityError(f"sequence length {s} exceeds max_seq {cfg.max_seq}")
+    absent = [i for i in range(layer_range.start, layer_range.end) if bundle.layers[i] is None]
+    if absent:
+        raise ContractError(f"layer {absent[0]} of layer range ({layer_range.start}, "
+                            f"{layer_range.end}) is not in this encoder slice")
     x = t0
     for i in range(layer_range.start, layer_range.end):
         x = _block(x, bundle.layers[i], cfg, 1 if cls_only and i == layer_range.end - 1 else s)
@@ -579,21 +632,9 @@ def encoder_forward(t0: Tensor, bundle: EncoderBundle, layer_range: LayerRange,
     return x
 
 
-def slice_parameters(bundle: EncoderBundle, layer_range: LayerRange) -> list[Tensor]:
-    """Every tensor that :func:`assemble_sequence` and :func:`encoder_forward` read for
-    tokens run through `layer_range`: its blocks, CLS, ``pos_embed``, and the final norm
-    when the range reaches the last layer. Never the patch projection, which only
-    :func:`patch_embed` reads. No gradient reaches any other tensor."""
-    tensors = [t for layer in bundle.layers[layer_range.start:layer_range.end]
-               for t in layer.tensors()]
-    tensors += [bundle.cls_token, bundle.pos_embed]
-    if layer_range.end == bundle.config.depth:
-        tensors += [bundle.final_gain, bundle.final_bias]
-    return tensors
-
-
 def save_weights(bundle: EncoderBundle, path: str | Path) -> None:
-    """Write the bundle; loading it back reproduces every tensor bit-exactly."""
+    """Write the bundle's tensors; :func:`load_weights` reads a whole bundle's file back
+    bit-exactly, and :func:`bundle_from_tensors` with its layer range a slice's."""
     wio.save_tensors(path, bundle.named_tensors(),
                      metadata={"encoder": json.dumps(asdict(bundle.config))})
 
@@ -609,19 +650,20 @@ def load_weights(path: str | Path, config: EncoderConfig) -> EncoderBundle:
     return bundle_from_tensors(tensors, config)
 
 
-def bundle_from_tensors(tensors: dict[str, np.ndarray],
-                        config: EncoderConfig) -> EncoderBundle:
-    """The bundle `config` describes; every spec tensor must be present with its shape.
+def bundle_from_tensors(tensors: dict[str, np.ndarray], config: EncoderConfig,
+                        layer_range: LayerRange | None = None) -> EncoderBundle:
+    """The bundle `config` describes, or with `layer_range` only its slice (see
+    :meth:`EncoderBundle.slice`); every tensor it holds must be present with its shape.
 
-    The optional patch projection loads when any of its tensors is present.
-    Other names (an adapter's, a head's) are ignored.
+    A whole bundle loads the optional patch projection when any of its tensors is
+    present. Other names (an adapter's, a head's, or a block outside the range) are
+    ignored. Nothing is hashed: a model hashes the slice it runs when it is made.
     """
-    with_patch = any(f.metadata["name"] in tensors
-                     for f in _BUNDLE_SLOTS if f.default is not MISSING)
-    bundle = _build(config, with_patch,
-                    lambda name, shape, init: wio.require(tensors, name, shape))
-    bundle._load_checksum = bundle.checksum()
-    return bundle
+    with_patch = layer_range is None and any(
+        f.metadata["name"] in tensors for f in _BUNDLE_SLOTS if f.metadata["when"] == "patch")
+    layer_range = (layer_range or LayerRange(0, config.depth)).validate(config.depth)
+    return _build(config, lambda name, shape, init: Tensor(wio.require(tensors, name, shape)),
+                  layer_range, with_patch)
 
 
 def read_metadata(meta: dict[str, str], key: str, names: Iterable[str]) -> dict:

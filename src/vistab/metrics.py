@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import typing
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -110,6 +111,12 @@ class ReportRow:
     config_hash: str
 
 
+# each ReportRow field's type, and the JSON values it takes: an int is no bool, and a
+# float field takes an int too
+_ROW_TYPES = typing.get_type_hints(ReportRow)
+_JSON_VALUES = {str: (str,), int: (int,), float: (int, float)}
+
+
 @dataclass
 class ExperimentReport:
     """Per-run rows plus the configs they hash to; serializable as CSV/JSON."""
@@ -162,20 +169,25 @@ class ExperimentReport:
     def from_json_dict(cls, payload: dict) -> "ExperimentReport":
         """The report :meth:`to_json_dict` gave `payload`; raises :class:`ConfigError`
         naming the cause when `payload` is not an object, one of its entries is not of
-        its kind, or a row does not hold exactly the fields of :class:`ReportRow`."""
+        its kind, or a row does not hold exactly the fields of :class:`ReportRow`, each
+        a value of its type (a float field takes an int too, and loads it as a float)."""
         if not isinstance(payload, dict):
             raise ConfigError(f"report is not a JSON object: {payload!r}")
         for key, kind in (("rows", list), ("configs", dict), ("errors", list),
                           ("extras", dict)):
             if not isinstance(payload.get(key, kind()), kind):
                 raise ConfigError(f"report {key!r} is not a {kind.__name__}")
-        names = {f.name for f in fields(ReportRow)}
         report = cls()
         for i, r in enumerate(payload.get("rows", [])):
-            if not isinstance(r, dict) or r.keys() != names:
+            if not isinstance(r, dict) or r.keys() != _ROW_TYPES.keys():
                 raise ConfigError(f"report row {i} must hold exactly the fields "
-                                  f"{sorted(names)}, got {r!r}")
-            report.rows.append(ReportRow(**r))
+                                  f"{sorted(_ROW_TYPES)}, got {r!r}")
+            for name, kind in _ROW_TYPES.items():
+                if type(r[name]) not in _JSON_VALUES[kind]:
+                    raise ConfigError(f"report row {i} field {name!r} must be "
+                                      f"{kind.__name__}, got {r[name]!r}")
+            report.rows.append(ReportRow(**{name: kind(r[name])
+                                            for name, kind in _ROW_TYPES.items()}))
         report.configs = dict(payload.get("configs", {}))
         report.errors = list(payload.get("errors", []))
         report.extras = dict(payload.get("extras", {}))

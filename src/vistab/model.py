@@ -11,6 +11,14 @@ classification head, so the slice's last block computes the CLS row alone
 (``cls_only`` of :func:`vistab.encoder.encoder_forward`). Dropping the
 encoder entirely (``bundle=None``) degenerates to adapter -> mean over the
 views -> head, which is the no-encoder ablation arm.
+
+A model holds only the slice of the encoder that it runs
+(:meth:`vistab.encoder.EncoderBundle.slice`): the range's blocks, CLS,
+``pos_embed`` and, when the range reaches the last layer, the final norm. The
+same tensors as the caller's bundle, uncopied; the other layers are freed once
+the caller drops that bundle. Its freeze mode tracks or untracks that slice, a
+checkpoint holds that slice, and its ``encoder.load_checksum`` is that slice's
+checksum when the model was made.
 """
 
 from __future__ import annotations
@@ -125,8 +133,10 @@ class VisTabNet:
     """Adapter -> encoder slice -> head on the CLS row; `freeze_mode` is one of FREEZE_MODES.
 
     ``layer_range`` needs an encoder and defaults to all of its layers. Making the model
-    runs :func:`set_freeze_mode`, which fixes the tensors that track; a model whose
-    ``layer_range`` changes afterwards needs another call.
+    replaces ``encoder`` with the slice of it that ``layer_range`` runs, hashes that
+    slice into its ``load_checksum``, and runs :func:`set_freeze_mode`. Changing
+    ``layer_range`` afterwards is not supported: the slice holds no other layer, and
+    :func:`vistab.encoder.encoder_forward` names the first one it lacks.
     """
 
     adapter: AdapterWeights
@@ -152,7 +162,7 @@ class VisTabNet:
                     f"max_seq {self.encoder.config.max_seq}")
             if self.layer_range is None:
                 self.layer_range = LayerRange(0, self.encoder.config.depth)
-            self.layer_range.validate(self.encoder.config.depth)
+            self.encoder = self.encoder.slice(self.layer_range)
         set_freeze_mode(self, self.freeze_mode)
 
     def parameter_groups(self) -> dict[str, list[Tensor]]:
@@ -214,14 +224,14 @@ def model_forward(x, model: VisTabNet) -> Tensor:
 
 
 def set_freeze_mode(model: VisTabNet, mode: str) -> VisTabNet:
-    """frozen: no encoder tensor tracks; fine_tune: exactly the encoder tensors that
-    :func:`model_forward` reads track (:func:`vistab.encoder.slice_parameters` of the
-    model's ``layer_range``), and every other one does not. Training from random weights
-    is fine_tune on a :func:`vistab.encoder.random_bundle`.
+    """frozen: no encoder tensor tracks; fine_tune: every tensor of the model's encoder,
+    the slice that :func:`model_forward` reads, tracks. Training from random weights is
+    fine_tune on a :func:`vistab.encoder.random_bundle`. The adapter and the head always
+    track.
 
-    The adapter and the head always track. The tracked set is fixed here, when
-    ``VisTabNet`` is made, when :func:`load_checkpoint` rebuilds a model, or on an explicit
-    call; a model whose ``layer_range`` changes afterwards needs another call.
+    Only the model's own tensors change, so models cut from one bundle keep their own
+    modes, except in the tensors that both read (CLS and ``pos_embed`` always): those
+    follow the last call.
     """
     if mode not in FREEZE_MODES:
         raise ContractError(f"unknown freeze mode {mode!r}; expected one of {FREEZE_MODES}")
@@ -229,16 +239,13 @@ def set_freeze_mode(model: VisTabNet, mode: str) -> VisTabNet:
     for p in model.adapter.parameters() + model.head.parameters():
         p.tracked = True
     if model.encoder is not None:
-        model.encoder.set_tracked(False)
-        if mode != "frozen":
-            for p in enc.slice_parameters(model.encoder, model.layer_range):
-                p.tracked = True
+        model.encoder.set_tracked(mode != "frozen")
     return model
 
 
 def count_trainable(model: VisTabNet) -> int:
-    """Values in the tracked tensors: the adapter, the head and, unless frozen, the encoder
-    tensors that the slice runs, as the last :func:`set_freeze_mode` call set them."""
+    """Values in the tracked tensors: the adapter, the head and, unless frozen, the
+    model's encoder slice."""
     return sum(p.size for p in model.parameters() if p.tracked)
 
 
@@ -252,7 +259,8 @@ def _dense_slots(adapter: AdapterConfig, head: HeadConfig) -> list[list[tuple]]:
 
 
 def save_checkpoint(model: VisTabNet, path: str | Path) -> None:
-    """One container holding encoder, adapter, and head tensors and their configs."""
+    """One container holding the encoder slice's, the adapter's and the head's tensors
+    and their configs."""
     configs = {"adapter": model.adapter.config, "head": model.head.config}
     tensors: dict[str, np.ndarray] = {}
     if model.encoder is not None:
@@ -269,7 +277,10 @@ def save_checkpoint(model: VisTabNet, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> VisTabNet:
-    """Rebuild a saved model; every tensor is shape-checked against its config."""
+    """Rebuild a saved model; every tensor is shape-checked against its config.
+
+    The encoder is rebuilt as the stored range's slice, so a checkpoint that holds the
+    whole encoder loads too, its other tensors unread into the model."""
     tensors, meta = wio.load_tensors(path)
     adapter_cfg = enc.read_config(meta, "adapter", AdapterConfig)
     head_cfg = enc.read_config(meta, "head", HeadConfig)
@@ -284,7 +295,7 @@ def load_checkpoint(path: str | Path) -> VisTabNet:
             layer_range.validate(encoder_cfg.depth)
         except ContractError as e:
             raise ConfigError(f"metadata 'layer_range': {e}") from None
-        bundle = enc.bundle_from_tensors(tensors, encoder_cfg)
+        bundle = enc.bundle_from_tensors(tensors, encoder_cfg, layer_range)
     stored = enc.read_metadata(meta, "model", _MODEL_FIELDS)
     if stored["freeze_mode"] not in FREEZE_MODES:
         raise ConfigError(f"metadata 'model': field 'freeze_mode' must be one of "

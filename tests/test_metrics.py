@@ -219,6 +219,28 @@ class TestReports:
         with pytest.raises(ConfigError, match=re.escape(f"{path}: {cause}")):
             ev.load_report_json(path)
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("mcc", "x", "float"), ("mcc", True, "float"), ("seed", True, "int"),
+        ("seed", 1.5, "int"), ("split_id", "x", "int"), ("dataset", 1.5, "str"),
+    ], ids=["str_mcc", "bool_mcc", "bool_seed", "float_seed", "str_split_id",
+            "float_dataset"])
+    def test_a_row_value_of_the_wrong_type_names_row_and_field(self, tmp_path, field, value,
+                                                               kind):
+        payload = self.make_report().to_json_dict()
+        payload["rows"][1][field] = value
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: report row 1 field {field!r} must be {kind}, got {value!r}")):
+            ev.load_report_json(path)
+
+    def test_an_int_in_a_float_field_loads_as_a_float(self):
+        payload = self.make_report().to_json_dict()
+        payload["rows"][0]["mcc"] = 1
+        loaded = ExperimentReport.from_json_dict(payload)
+        assert type(loaded.rows[0].mcc) is float and loaded.rows[0].mcc == 1.0
+        assert loaded.aggregate()  # every value is a number
+
     def test_config_hash_rederives(self, tmp_path):
         report = self.make_report()
         path = tmp_path / "report.json"

@@ -1,8 +1,10 @@
 import functools
+import gc
 import json
 import math
 import re
 import threading
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -29,6 +31,15 @@ def toy_model(seed=0, n_views=3, bundle=None, input_dim=4):
         HeadConfig(in_dim=CFG.dim, n_classes=3, depth=2),
         bundle=bundle, seed=seed,
     )
+
+
+def slice_names(layer_range, depth):
+    """The names a model's encoder holds: the range's blocks, CLS, pos_embed, and the
+    final norm when the range ends at the last layer; never the patch projection."""
+    blocks = {f"layers.{i}.{f.metadata['name']}" for i in range(layer_range.start, layer_range.end)
+              for f in fields(enc.EncoderLayer)}
+    final = {"final_norm.weight", "final_norm.bias"} if layer_range.end == depth else set()
+    return blocks | final | {"cls_token", "pos_embed"}
 
 
 class TestAdapterForward:
@@ -318,7 +329,8 @@ class TestFreezeAndCounting:
         model = M.build_model(AdapterConfig(input_dim=4, n_views=3, out_dim=8),
                               HeadConfig(in_dim=8, n_classes=3), bundle=bundle,
                               layer_range=layer_range, seed=39)
-        bundle.set_tracked(True)  # the mode, not what tracked before, decides
+        assert set(model.encoder.named_tensors()) == slice_names(layer_range, cfg.depth)
+        model.encoder.set_tracked(True)  # the mode, not what tracked before, decides
         M.set_freeze_mode(model, mode)
         rng = np.random.default_rng(40)
         with Tape():
@@ -330,7 +342,7 @@ class TestFreezeAndCounting:
         blocks = len(bundle.layers[0].tensors()) * (layer_range.end - layer_range.start)
         expected = 0 if mode == "frozen" else (
             blocks + 2 + 2 * (layer_range.end == cfg.depth))  # CLS, pos, final norm
-        assert sum(p.tracked for p in bundle.parameters()) == expected
+        assert sum(p.tracked for p in model.encoder.parameters()) == expected
 
     def test_layer_range_without_an_encoder_is_refused(self):
         with pytest.raises(ContractError, match="layer_range"):
@@ -517,6 +529,106 @@ class TestCheckpoint:
         wio.save_tensors(path, tensors, metadata=meta)
         with pytest.raises(ConfigError, match=repr(key)):
             M.load_checkpoint(path)
+
+
+class TestEncoderSlice:
+    CFG = EncoderConfig(depth=3, dim=8, heads=2, mlp_ratio=2, max_seq=5, patch=2)
+
+    def model(self, layer_range, bundle=None, seed=60):
+        if bundle is None:
+            bundle = enc.random_bundle(self.CFG, seed=seed, scale=0.3, with_patch=True)
+        return M.build_model(AdapterConfig(input_dim=4, n_views=3, out_dim=self.CFG.dim),
+                             HeadConfig(in_dim=self.CFG.dim, n_classes=3), bundle=bundle,
+                             layer_range=layer_range, seed=seed)
+
+    @pytest.mark.parametrize("layer_range", [(0, 1), (1, 3), (0, 3)],
+                             ids=lambda r: f"{r[0]}-{r[1]}")
+    @pytest.mark.parametrize("mode", M.FREEZE_MODES)
+    def test_checkpoint_holds_exactly_the_slice(self, tmp_path, layer_range, mode):
+        model = M.set_freeze_mode(self.model(LayerRange(*layer_range)), mode)
+        path = tmp_path / "model.weights"
+        M.save_checkpoint(model, path)
+        tensors, meta = wio.load_tensors(path)
+        encoder = {name for name in tensors if not name.startswith(("adapter.", "head."))}
+        assert encoder == slice_names(LayerRange(*layer_range), self.CFG.depth)
+        assert enc.read_config(meta, "encoder", EncoderConfig) == self.CFG
+        assert enc.read_config(meta, "layer_range", LayerRange) == LayerRange(*layer_range)
+        loaded = M.load_checkpoint(path)
+        assert set(loaded.encoder.named_tensors()) == encoder
+        assert loaded.freeze_mode == mode
+        resaved = tmp_path / "resaved.weights"
+        M.save_checkpoint(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+    def test_whole_bundle_checkpoint_still_loads(self, tmp_path):
+        bundle = enc.random_bundle(self.CFG, seed=61, scale=0.3, with_patch=True)
+        model = M.set_freeze_mode(self.model(LayerRange(1, 2), bundle=bundle), "fine_tune")
+        path = tmp_path / "slice.weights"
+        M.save_checkpoint(model, path)
+        # the format a model wrote when it held its whole bundle: every encoder tensor
+        tensors, meta = wio.load_tensors(path)
+        whole = tmp_path / "whole.weights"
+        wio.save_tensors(whole, {**tensors, **bundle.named_tensors()}, metadata=meta)
+        loaded = M.load_checkpoint(whole)
+        assert set(loaded.encoder.named_tensors()) == slice_names(LayerRange(1, 2), self.CFG.depth)
+        assert loaded.encoder.layers[0] is None and loaded.encoder.patch_proj is None
+        x = np.random.default_rng(62).normal(size=(5, 4))
+        np.testing.assert_array_equal(M.model_forward(x, loaded).data,
+                                      M.model_forward(x, model).data)
+        resaved = tmp_path / "resaved.weights"
+        M.save_checkpoint(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
+    def test_model_holds_the_callers_tensors_and_frees_the_rest(self):
+        bundle = enc.random_bundle(self.CFG, seed=63, scale=0.3, with_patch=True)
+        model = self.model(LayerRange(0, 1), bundle=bundle)
+        own = {name: id(t) for name, t in zip(model.encoder.named_tensors(),
+                                                model.encoder.parameters())}
+        callers = {name: id(t) for name, t in zip(bundle.named_tensors(), bundle.parameters())}
+        assert own == {name: callers[name] for name in own}  # the same objects, uncopied
+        outside = [*bundle.layers[1].tensors(), *bundle.layers[2].tensors(),
+                   bundle.final_gain, bundle.final_bias, bundle.patch_proj, bundle.patch_bias]
+        refs = [weakref.ref(t) for t in outside]
+        del bundle, outside
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert model.encoder.layers[1:] == [None, None]
+
+    def test_models_on_one_bundle_keep_their_own_freeze_modes(self):
+        bundle = enc.random_bundle(self.CFG, seed=64, scale=0.3)
+        first = M.set_freeze_mode(self.model(LayerRange(0, 1), bundle=bundle), "fine_tune")
+        second = self.model(LayerRange(1, 3), bundle=bundle)  # made frozen
+        assert all(t.tracked for t in first.encoder.layers[0].tensors())
+        assert not any(t.tracked for i in (1, 2) for t in second.encoder.layers[i].tensors())
+        # CLS and pos_embed belong to both slices, so they follow the last call
+        assert not bundle.cls_token.tracked and not bundle.pos_embed.tracked
+        M.set_freeze_mode(second, "fine_tune")
+        M.set_freeze_mode(first, "frozen")
+        assert not any(t.tracked for t in first.encoder.parameters())
+        assert all(t.tracked for i in (1, 2) for t in second.encoder.layers[i].tensors())
+
+    @pytest.mark.parametrize("mode", M.FREEZE_MODES)
+    def test_load_checksum_is_the_slice_digest_when_made(self, mode):
+        model = M.set_freeze_mode(self.model(LayerRange(0, 2)), mode)
+        assert model.encoder.load_checksum == model.encoder.checksum()
+        rng = np.random.default_rng(65)
+        params = [p for p in model.parameters() if p.tracked]
+        with Tape():
+            loss = T.cross_entropy(M.model_forward(rng.normal(size=(4, 4)), model),
+                                   rng.integers(0, 3, 4))
+        backward(loss)
+        for p in params:
+            p.data -= 0.1 * p.grad
+        changed = model.encoder.checksum() != model.encoder.load_checksum
+        assert changed == (mode == "fine_tune")
+
+    def test_layer_outside_the_slice_is_named(self):
+        model = self.model(LayerRange(0, 2))
+        seq = enc.assemble_sequence(Tensor(np.zeros((1, 3, self.CFG.dim))), model.encoder)
+        with pytest.raises(ContractError, match="layer 2 of layer range"):
+            enc.encoder_forward(seq, model.encoder, LayerRange(1, 3))
+        with pytest.raises(ContractError, match=re.escape("'layers.2.ln1.weight'")):
+            model.encoder.slice(LayerRange(0, 3))
 
 
 def _stored_config(key, field, value):

@@ -68,7 +68,8 @@ def test_csv_to_mean_rank_over_two_arms(tmp_path):
     for model in arms.values():
         train(model, X_train, y_train)
         assert np.isfinite(M.model_forward(X_valid, model).data).all()
-    assert bundle.checksum() == bundle.load_checksum
+    frozen = arms["frozen"].encoder
+    assert frozen.checksum() == frozen.load_checksum
     assert test.access_count == 0  # nothing read the test partition before the final read
 
     X_test, y_test = pre.transform(test), test.y

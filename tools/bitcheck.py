@@ -7,7 +7,11 @@
 a cross-entropy step of the model, which reads the CLS row, for dims 24, 64 and
 192 × frozen and fine_tune × layer ranges (0, 2) and (1, 3) of a depth-3 encoder ×
 batches 1, 2, 16 and 33 × the block split (``encoder._parts``) as the environment
-sets it, forced to 1 and forced to 2. Run it with ``OPENBLAS_NUM_THREADS`` unset
+sets it, forced to 1 and forced to 2. Encoder gradients are keyed by tensor name,
+so a model that holds its whole encoder and one that holds only its slice compare;
+the adapter's and the head's by their index. For each dim it also writes the eval
+logits and every tracked tensor of what ``model.load_checkpoint`` returns for the
+saved fine_tune model of range (1, 3). Run it with ``OPENBLAS_NUM_THREADS`` unset
 and set to 1 (large blocks then split on their own); two dumps of one checkout must
 not differ, split blocks' gradients included. It also writes ``X``, ``y``, the
 categories and the label names that ``data.load_csv`` reads from the benchmark
@@ -60,15 +64,39 @@ def dump(path: str) -> None:
             key = f"d{dim}-{mode}-{lo}{hi}-b{batch}-{split}/"
             out[key + "logits"] = logits.data
             out[key + "eval_logits"] = M.model_forward(x, model).data
-            for group, params in model.parameter_groups().items():
+            groups = model.parameter_groups()
+            named = zip(model.encoder.named_tensors(), groups.pop("encoder"))
+            out.update((f"{key}encoder.{name}", p.grad) for name, p in named
+                       if p.grad is not None)
+            for group, params in groups.items():
                 for i, p in enumerate(params):
                     if p.grad is not None:
                         out[f"{key}{group}.{i}"] = p.grad
+            if (mode, lo, batch, split) == ("fine_tune", 1, 33, "natural"):
+                out.update(checkpoint_load(model, x, f"d{dim}-checkpoint/"))
     enc._parts = natural
     out.update(csv_loads())
     out.update(weight_loads())
     np.savez(path, **out)
     print(f"{len(out)} arrays written to {path}")
+
+
+def checkpoint_load(model, x: np.ndarray, key: str) -> dict[str, np.ndarray]:
+    """What ``load_checkpoint`` returns for the saved `model`: its eval logits on `x` and
+    every tracked tensor, the encoder's by name."""
+    from vistab import model as M
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.weights"
+        M.save_checkpoint(model, path)
+        loaded = M.load_checkpoint(path)
+    groups = loaded.parameter_groups()
+    out = {f"{key}encoder.{name}": p.data for name, p in
+           zip(loaded.encoder.named_tensors(), groups.pop("encoder")) if p.tracked}
+    out.update((f"{key}{group}.{i}", p.data) for group, params in groups.items()
+               for i, p in enumerate(params))
+    out[key + "eval_logits"] = M.model_forward(x, loaded).data
+    return out
 
 
 def csv_loads() -> dict[str, np.ndarray]:
